@@ -44,7 +44,6 @@ from .hecke import (
     f_set_member,
     hecke_convolve,
     hecke_unit,
-    lcm_l_values,
     qc_member,
     same_double_coset,
 )
@@ -61,7 +60,6 @@ from .tree import (
     edge_source,
     export_ball,
     fixes_vertex,
-    power_classify_consistency,
     vertex_distance,
     vertex_neighbors,
     vertex_of,
@@ -78,7 +76,6 @@ from .fusion import (
     exchange_partners,
     isomorphic,
     omega_member,
-    tensor_dims,
 )
 from .rigidity import (
     ABS_M_MISMATCH,
@@ -93,7 +90,6 @@ from .rigidity import (
     is_isomorphic,
     recover_parameters,
     sign_witness,
-    w_relation,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Command line front end.
 
-One binary, subcommand style.  The group is passed globally as
-``--group n,m`` (negative values allowed, e.g. ``2,-3``); parameter-pair
-subcommands (iso, obstruction, witness) take their pairs positionally and
-need no group.  ``--format json`` emits exactly one JSON document on
-stdout.  Exit codes: 0 success, 1 domain error, 2 usage error.
+One binary, subcommand style, declared once per subcommand in ``COMMANDS``:
+help, arguments, whether ``--group n,m`` is needed (negative values
+allowed, e.g. ``2,-3``) and a handler returning ``(payload, text)``.
+``--format json`` emits exactly one JSON document on stdout, the payload;
+text mode prints the text, or the payload where there is none.  Exit
+codes: 0 success, 1 domain error or failed selftest, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,21 +13,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import fusion, hecke, rigidity, selftest, tree, words
-from .words import bs, parse_word, format_word, normalize
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    group: tuple[int, int] | None
-    format: str
-    seed: int
+from .words import BsPresentation, bs, format_word, word_nf
 
 
 class _UsageError(Exception):
     pass
+
+
+class _Failed(Exception):
+    """A result that is still printed, with exit code 1."""
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -40,6 +38,179 @@ def _parse_pair(text: str) -> tuple[int, int]:
     if n == 0 or m == 0:
         raise _UsageError("group parameters must be nonzero")
     return n, m
+
+
+def _parse_root(text: str) -> fusion.RootOfUnity:
+    parts = text.split("/")
+    try:
+        if len(parts) == 1:
+            return fusion.RootOfUnity.of(int(parts[0]), 1)
+        if len(parts) == 2:
+            return fusion.RootOfUnity.of(int(parts[0]), int(parts[1]))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"expected a fraction p/q, got {text!r}")
+
+
+def _scalar(key: str, value):
+    """A one-field result; its text form is the value's JSON spelling."""
+    return {key: value}, json.dumps(value)
+
+
+# ---------------------------------------------------------------------------
+# handlers: (parsed arguments, group or None) -> (payload, text or None)
+
+def _reduce(a, G):
+    nf = format_word(word_nf(a.word, G))
+    return {"word": nf}, nf
+
+
+def _eq(a, G):
+    return _scalar("equal", word_nf(a.word1, G) == word_nf(a.word2, G))
+
+
+def _blength(a, G):
+    return _scalar("b_length", words.b_length(words.parse_word(a.word), G))
+
+
+def _profile(a, G):
+    return hecke.coset_profile(word_nf(a.word, G), G).as_json(), None
+
+
+def _qc(a, G):
+    return _scalar("qc", hecke.qc_member(word_nf(a.word, G), G))
+
+
+def _classify(a, G):
+    kind = tree.classify(word_nf(a.word, G), G)
+    if isinstance(kind, tree.Elliptic):
+        return {"kind": "elliptic", "witness": format_word(kind.witness)}, None
+    return {"kind": "hyperbolic", "translation_length": kind.translation_length}, None
+
+
+def _fixed(a, G):
+    found = tree.common_fixed_vertex([word_nf(w, G) for w in a.words], G, a.radius)
+    if found is None:
+        return {"vertex": None}, "absent"
+    v, g0 = found
+    return {"vertex": str(v), "g0": format_word(g0)}, f"vertex={v} g0={format_word(g0)}"
+
+
+def _tree_ball(a, G):
+    dot = tree.export_ball(tree.vertex_of(word_nf(a.center, G), G), a.radius, G)
+    return {"dot": dot}, dot.rstrip("\n")
+
+
+def _coset(a, G):
+    D = hecke.double_coset(word_nf(a.word, G), G)
+    return {"coset": str(D), "l": D.profile.l, "r": D.profile.r, "L": D.profile.L}, None
+
+
+def _convolve(a, G):
+    x = hecke.HeckeElement.single(hecke.double_coset(word_nf(a.word1, G), G))
+    y = hecke.HeckeElement.single(hecke.double_coset(word_nf(a.word2, G), G))
+    return hecke.hecke_convolve(x, y, G).as_json(), None
+
+
+def _fuse_selfinv(a, G):
+    return fusion.decompose_self_inverse(word_nf(a.word, G), G).as_json(), None
+
+
+def _exchange(a, G):
+    w = _parse_root(a.root)
+    partners = sorted(fusion.exchange_partners(w, word_nf(a.word, G), G), key=lambda u: u.angle)
+    return [str(u) for u in partners], " ".join(str(u) for u in partners)
+
+
+def _invariants(a, G):
+    payload = {
+        "n": G.n,
+        "m": G.m,
+        "k": G.k,
+        "n0": G.n0,
+        "m0": G.m0,
+        "standard_form": G.is_standard,
+        "amenable": rigidity.is_amenable(G.n, G.m),
+        "canonical": list(rigidity.canonicalize(G.n, G.m)),
+    }
+    if G.is_standard:
+        payload["index_values"] = sorted(hecke.f_set(a.depth, G))
+    return payload, None
+
+
+def _iso(a, G):
+    same = rigidity.is_isomorphic(*_parse_pair(a.pair1), *_parse_pair(a.pair2))
+    return _scalar("isomorphic", same)
+
+
+def _obstruction(a, G):
+    verdict = rigidity.crossed_product_obstruction(*_parse_pair(a.pair1), *_parse_pair(a.pair2))
+    return verdict.as_json(), None
+
+
+def _witness(a, G):
+    return rigidity.sign_witness(*_parse_pair(a.pair)).as_json(), None
+
+
+def _selftest(a, G):
+    passed, failed, lines = selftest.run_selftest(a.seed or 0)
+    result = {"passed": passed, "failed": failed}, "\n".join(lines)
+    if failed:
+        raise _Failed(*result)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# the table
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace, BsPresentation | None], tuple]
+    args: tuple = ()  # (name or flag, add_argument keywords) pairs
+    needs_group: bool = True
+
+
+def _arg(name: str, **options) -> tuple[str, dict]:
+    return name, options
+
+
+WORD = (_arg("word"),)
+TWO_WORDS = (_arg("word1"), _arg("word2"))
+TWO_PAIRS = (_arg("pair1"), _arg("pair2"))
+
+COMMANDS = {
+    "reduce": Command("normal form of a word", _reduce, WORD),
+    "eq": Command("equality of two words in the group", _eq, TWO_WORDS),
+    "blength": Command("b-length of a word", _blength, WORD),
+    "profile": Command("coset indices (l, r, L)", _profile, WORD),
+    "qc": Command("quasi-centralizer membership", _qc, WORD),
+    "classify": Command("elliptic or hyperbolic", _classify, WORD),
+    "fixed": Command(
+        "common fixed vertex of elliptic words",
+        _fixed,
+        (_arg("words", nargs="+"), _arg("--radius", type=int, default=8)),
+    ),
+    "tree-ball": Command(
+        "DOT export of a tree ball", _tree_ball, (_arg("center"), _arg("radius", type=int))
+    ),
+    "coset": Command("canonical double coset", _coset, WORD),
+    "convolve": Command("double coset convolution", _convolve, TWO_WORDS),
+    "fuse-selfinv": Command("self-inverse fusion decomposition", _fuse_selfinv, WORD),
+    "exchange": Command(
+        "exchange partners of a root of unity", _exchange, (_arg("root", help="angle p/q"), *WORD)
+    ),
+    "invariants": Command(
+        "derived invariants of the group", _invariants, (_arg("--depth", type=int, default=3),)
+    ),
+    "iso": Command("isomorphism of two parameter pairs", _iso, TWO_PAIRS, needs_group=False),
+    "obstruction": Command(
+        "crossed product obstruction verdict", _obstruction, TWO_PAIRS, needs_group=False
+    ),
+    "witness": Command(
+        "sign witness for n,|m| with n != |m|", _witness, (_arg("pair"),), needs_group=False
+    ),
+    "selftest": Command("run the acceptance checks at desk scale", _selftest, needs_group=False),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,209 +229,25 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("reduce", parents=[common], help="normal form of a word")
-    p.add_argument("word")
-    p = sub.add_parser("eq", parents=[common], help="equality of two words in the group")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p = sub.add_parser("blength", parents=[common], help="b-length of a word")
-    p.add_argument("word")
-    p = sub.add_parser("profile", parents=[common], help="coset indices (l, r, L)")
-    p.add_argument("word")
-    p = sub.add_parser("qc", parents=[common], help="quasi-centralizer membership")
-    p.add_argument("word")
-    p = sub.add_parser("classify", parents=[common], help="elliptic or hyperbolic")
-    p.add_argument("word")
-    p = sub.add_parser("fixed", parents=[common], help="common fixed vertex of elliptic words")
-    p.add_argument("words", nargs="+")
-    p.add_argument("--radius", type=int, default=8)
-    p = sub.add_parser("tree-ball", parents=[common], help="DOT export of a tree ball")
-    p.add_argument("center")
-    p.add_argument("radius", type=int)
-    p = sub.add_parser("coset", parents=[common], help="canonical double coset")
-    p.add_argument("word")
-    p = sub.add_parser("convolve", parents=[common], help="double coset convolution")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p = sub.add_parser("fuse-selfinv", parents=[common], help="self-inverse fusion decomposition")
-    p.add_argument("word")
-    p = sub.add_parser("exchange", parents=[common], help="exchange partners of a root of unity")
-    p.add_argument("root", help="angle p/q")
-    p.add_argument("word")
-    p = sub.add_parser("invariants", parents=[common], help="derived invariants of the group")
-    p.add_argument("--depth", type=int, default=3)
-    p = sub.add_parser("iso", parents=[common], help="isomorphism of two parameter pairs")
-    p.add_argument("pair1")
-    p.add_argument("pair2")
-    p = sub.add_parser("obstruction", parents=[common], help="crossed product obstruction verdict")
-    p.add_argument("pair1")
-    p.add_argument("pair2")
-    p = sub.add_parser("witness", parents=[common], help="sign witness for n,|m| with n != |m|")
-    p.add_argument("pair")
-    sub.add_parser("selftest", parents=[common], help="run the desk-scale check suite")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for arg, options in command.args:
+            p.add_argument(arg, **options)
     return parser
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
+def _call(args: argparse.Namespace) -> tuple[tuple, int]:
+    """((payload, text), exit code) of the chosen subcommand."""
     group = _parse_pair(args.group) if args.group else None
-    fmt = getattr(args, "format", None) or "text"
-    seed = getattr(args, "seed", None)
-    return CliConfig(group, fmt, 0 if seed is None else seed)
-
-
-def _require_group(cfg: CliConfig) -> words.BsPresentation:
-    if cfg.group is None:
+    if args.command is None:
+        raise _UsageError("missing subcommand")
+    command = COMMANDS[args.command]
+    if command.needs_group and group is None:
         raise _UsageError("this subcommand needs --group n,m")
-    return bs(*cfg.group)
-
-
-def _parse_root(text: str) -> fusion.RootOfUnity:
-    parts = text.split("/")
     try:
-        if len(parts) == 1:
-            return fusion.RootOfUnity.of(int(parts[0]), 1)
-        if len(parts) == 2:
-            return fusion.RootOfUnity.of(int(parts[0]), int(parts[1]))
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f"expected a fraction p/q, got {text!r}")
-
-
-def _emit(cfg: CliConfig, payload, text: str | None = None) -> str:
-    if cfg.format == "json" or text is None:
-        return json.dumps(payload, separators=(",", ":")) + "\n"
-    return text + "\n"
-
-
-def _run(args: argparse.Namespace) -> str:
-    cfg = _config(args)
-    cmd = args.command
-
-    if cmd == "reduce":
-        G = _require_group(cfg)
-        nf = normalize(parse_word(args.word), G)
-        return _emit(cfg, {"word": format_word(nf)}, format_word(nf))
-
-    if cmd == "eq":
-        G = _require_group(cfg)
-        equal = normalize(parse_word(args.word1), G) == normalize(parse_word(args.word2), G)
-        return _emit(cfg, {"equal": equal}, "true" if equal else "false")
-
-    if cmd == "blength":
-        G = _require_group(cfg)
-        k = words.b_length(parse_word(args.word), G)
-        return _emit(cfg, {"b_length": k}, str(k))
-
-    if cmd == "profile":
-        G = _require_group(cfg)
-        p = hecke.coset_profile(normalize(parse_word(args.word), G), G)
-        return _emit(cfg, p.as_json())
-
-    if cmd == "qc":
-        G = _require_group(cfg)
-        member = hecke.qc_member(normalize(parse_word(args.word), G), G)
-        return _emit(cfg, {"qc": member}, "true" if member else "false")
-
-    if cmd == "classify":
-        G = _require_group(cfg)
-        kind = tree.classify(normalize(parse_word(args.word), G), G)
-        if isinstance(kind, tree.Elliptic):
-            payload = {"kind": "elliptic", "witness": format_word(kind.witness)}
-        else:
-            payload = {"kind": "hyperbolic", "translation_length": kind.translation_length}
-        return _emit(cfg, payload)
-
-    if cmd == "fixed":
-        G = _require_group(cfg)
-        gs = [normalize(parse_word(w), G) for w in args.words]
-        found = tree.common_fixed_vertex(gs, G, args.radius)
-        if found is None:
-            return _emit(cfg, {"vertex": None}, "absent")
-        v, g0 = found
-        payload = {"vertex": str(v), "g0": format_word(g0)}
-        return _emit(cfg, payload, f"vertex={v} g0={format_word(g0)}")
-
-    if cmd == "tree-ball":
-        G = _require_group(cfg)
-        center = tree.vertex_of(normalize(parse_word(args.center), G), G)
-        dot = tree.export_ball(center, args.radius, G)
-        return _emit(cfg, {"dot": dot}, dot.rstrip("\n"))
-
-    if cmd == "coset":
-        G = _require_group(cfg)
-        D = hecke.double_coset(normalize(parse_word(args.word), G), G)
-        payload = {"coset": str(D), "l": D.profile.l, "r": D.profile.r, "L": D.profile.L}
-        return _emit(cfg, payload)
-
-    if cmd == "convolve":
-        G = _require_group(cfg)
-        x = hecke.HeckeElement.single(hecke.double_coset(normalize(parse_word(args.word1), G), G))
-        y = hecke.HeckeElement.single(hecke.double_coset(normalize(parse_word(args.word2), G), G))
-        return _emit(cfg, hecke.hecke_convolve(x, y, G).as_json())
-
-    if cmd == "fuse-selfinv":
-        G = _require_group(cfg)
-        dec = fusion.decompose_self_inverse(normalize(parse_word(args.word), G), G)
-        return _emit(cfg, dec.as_json())
-
-    if cmd == "exchange":
-        G = _require_group(cfg)
-        w = _parse_root(args.root)
-        partners = fusion.exchange_partners(w, normalize(parse_word(args.word), G), G)
-        ordered = sorted(partners, key=lambda u: u.angle)
-        return _emit(cfg, [str(u) for u in ordered], " ".join(str(u) for u in ordered))
-
-    if cmd == "invariants":
-        G = _require_group(cfg)
-        payload = {
-            "n": G.n,
-            "m": G.m,
-            "k": G.k,
-            "n0": G.n0,
-            "m0": G.m0,
-            "standard_form": G.is_standard,
-            "amenable": rigidity.is_amenable(G.n, G.m),
-            "canonical": list(rigidity.canonicalize(G.n, G.m)),
-        }
-        if G.is_standard:
-            payload["index_values"] = sorted(hecke.f_set(args.depth, G))
-        return _emit(cfg, payload)
-
-    if cmd == "iso":
-        n1, m1 = _parse_pair(args.pair1)
-        n2, m2 = _parse_pair(args.pair2)
-        same = rigidity.is_isomorphic(n1, m1, n2, m2)
-        return _emit(cfg, {"isomorphic": same}, "true" if same else "false")
-
-    if cmd == "obstruction":
-        n1, m1 = _parse_pair(args.pair1)
-        n2, m2 = _parse_pair(args.pair2)
-        verdict = rigidity.crossed_product_obstruction(n1, m1, n2, m2)
-        return _emit(cfg, verdict.as_json())
-
-    if cmd == "witness":
-        n, m = _parse_pair(args.pair)
-        wit = rigidity.sign_witness(n, m)
-        return _emit(cfg, wit.as_json())
-
-    if cmd == "selftest":
-        passed, failed, lines = selftest.run_selftest(cfg.seed)
-        if cfg.format == "json":
-            out = json.dumps({"passed": passed, "failed": failed}, separators=(",", ":")) + "\n"
-        else:
-            out = "\n".join(lines) + "\n"
-        if failed:
-            raise _SelftestFailure(out)
-        return out
-
-    raise _UsageError("missing subcommand")
-
-
-class _SelftestFailure(Exception):
-    def __init__(self, output: str):
-        super().__init__("selftest failed")
-        self.output = output
+        return command.handler(args, bs(*group) if group else None), 0
+    except _Failed as exc:
+        return exc.args, 1
 
 
 def run(argv: list[str]) -> int:
@@ -272,21 +259,27 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        sys.stdout.write(_run(args))
-        return 0
+        (payload, text), code = _call(args)
+        if args.format == "json" or text is None:
+            out = json.dumps(payload, separators=(",", ":")) + "\n"
+        else:
+            out = text + "\n"
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"bsrig: {exc}\n")
         return 2
-    except _SelftestFailure as exc:
-        sys.stdout.write(exc.output)
-        return 1
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"bsrig: {exc}\n")
         return 1
+    sys.stdout.write(out)
+    return code
 
 
 def main() -> None:
+    # exact answers such as r(b^10000) = 3^10000 exceed the interpreter's
+    # default limit on int <-> str conversion (Python 3.11+)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "enumerate_omega",
     "char_of",
     "isomorphic",
-    "tensor_dims",
     "decompose_self_inverse",
     "exchange_partners",
     "char_product",
@@ -198,11 +197,6 @@ class BimoduleSum:
 
     def as_json(self) -> list[dict]:
         return [t.as_json() for t in self.terms]
-
-
-def tensor_dims(x: BimoduleSum, y: BimoduleSum) -> tuple[int, int]:
-    """Dimension pair of a relative tensor product: both sides multiply."""
-    return (x.left_dim * y.left_dim, x.right_dim * y.right_dim)
 
 
 def decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:

@@ -16,7 +16,7 @@ the whole group is F + {1} where F = {k n0^s |m0|^t : s + t > 0}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .words import (
     BsPresentation,
@@ -41,7 +41,6 @@ __all__ = [
     "qc_member",
     "centralizes",
     "amalgam_embed",
-    "lcm_l_values",
     "hecke_convolve",
     "hecke_unit",
 ]
@@ -195,14 +194,6 @@ def amalgam_embed(text: str, G: BsPresentation) -> GroupWord:
         else:
             items.extend((("b", -1), ("a", exp), ("b", 1)))
     return GroupWord.of(items)
-
-
-def lcm_l_values(gs, G: BsPresentation) -> int:
-    """lcm of l(g) over a nonempty collection; again a value of l."""
-    ls = [coset_profile(g, G).l for g in gs]
-    if not ls:
-        raise ValueError("need at least one element")
-    return lcm(*ls)
 
 
 # ---------------------------------------------------------------------------

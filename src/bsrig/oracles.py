@@ -5,7 +5,8 @@ it works on raw syllable lists, looks for pinches b a^s b^-1 (n | s) and
 b^-1 a^s b (m | s) anywhere in the word, and collapses them in a random
 order.  Britton's criterion then decides triviality of the reduced word.
 The index-profile oracle searches exponents one by one through the word
-problem instead of propagating constraints.
+problem instead of propagating constraints.  The scanner tokenizes words
+one character at a time, as a reference for the parser's single pattern.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .words import (
     BsPresentation,
     GroupWord,
     NormalForm,
+    WordSyntaxError,
     a_power,
     concat_words,
     inverse_word,
@@ -25,6 +27,7 @@ from .words import (
 )
 
 __all__ = [
+    "oracle_scan",
     "pinch_eliminate",
     "oracle_is_identity",
     "oracle_b_length",
@@ -34,6 +37,48 @@ __all__ = [
     "with_inserted_relator",
     "random_elliptic",
 ]
+
+
+def oracle_scan(text: str, names: str) -> list[tuple[str, int]]:
+    """Tokenize ``letter power?`` terms character by character; the same
+    tokens and the same WordSyntaxError (message and offset) as the parser."""
+    lo0, lo1 = names[0], names[1]
+    table = {lo0: (lo0, 1), lo0.upper(): (lo0, -1), lo1: (lo1, 1), lo1.upper(): (lo1, -1)}
+    out: list[tuple[str, int]] = []
+    i = 0
+    size = len(text)
+    while i < size:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "e":
+            if i + 1 < size and text[i + 1] == "^":
+                raise WordSyntaxError("'e' takes no exponent", i + 1)
+            i += 1
+            continue
+        if ch not in table:
+            raise WordSyntaxError(f"unexpected character {ch!r}", i)
+        letter, sign = table[ch]
+        i += 1
+        exp = 1
+        if i < size and text[i] == "^":
+            i += 1
+            neg = False
+            if i < size and text[i] == "-":
+                neg = True
+                i += 1
+            j = i
+            while j < size and "0" <= text[j] <= "9":
+                j += 1
+            if j == i:
+                raise WordSyntaxError("expected digits after '^'", i)
+            exp = int(text[i:j])
+            if neg:
+                exp = -exp
+            i = j
+        out.append((letter, sign * exp))
+    return out
 
 
 def _pinch_sites(sylls: tuple[tuple[str, int], ...], G: BsPresentation) -> list[int]:

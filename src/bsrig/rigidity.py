@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .words import BsPresentation, NormalForm, bs
-from .hecke import coset_profile
+from .words import bs
 from .fusion import ONE, RootOfUnity, omega_member
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "recover_parameters",
     "sign_witness",
     "crossed_product_obstruction",
-    "w_relation",
 ]
 
 NO_OBSTRUCTION = "no_obstruction"
@@ -162,16 +160,6 @@ def crossed_product_obstruction(n1: int, m1: int, n2: int, m2: int) -> RigidityV
     if abs(m1) != abs(m2):
         return RigidityVerdict(ABS_M_MISMATCH)
     if n1 != abs(m1) and m1 != m2:
-        wit = sign_witness(n1, m1)
-        if wit.omega.power(n1) != wit.mu.power(m1) or wit.mu.power(2 * m1) == ONE:
-            raise RuntimeError("internal error: sign witness failed re-verification")
-        return RigidityVerdict(SIGN_MISMATCH, wit)
+        return RigidityVerdict(SIGN_MISMATCH, sign_witness(n1, m1))
     return RigidityVerdict(NO_OBSTRUCTION)
 
-
-def w_relation(w: RootOfUnity, u: RootOfUnity, g: NormalForm, G: BsPresentation) -> bool:
-    """The exchange relation w^{r(g)} = u^{L(g)}, as exact fractions."""
-    if not (omega_member(w, G) and omega_member(u, G)):
-        raise ValueError("both roots must lie in Omega")
-    p = coset_profile(g, G)
-    return w.power(p.r) == u.power(p.L)

@@ -28,7 +28,6 @@ from .words import (
     invert,
     multiply,
     nf_sort_key,
-    power,
 )
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "vertex_distance",
     "fixes_vertex",
     "classify",
-    "power_classify_consistency",
     "common_fixed_vertex",
     "export_ball",
 ]
@@ -125,14 +123,23 @@ def classify(g: NormalForm, G: BsPresentation) -> Elliptic | Hyperbolic:
     return Elliptic(conj)
 
 
-def power_classify_consistency(g: NormalForm, z: int, G: BsPresentation) -> bool:
-    """Nonzero powers of a hyperbolic element stay hyperbolic; exposed as a
-    checkable predicate (vacuously true for elliptic g)."""
-    if z == 0:
-        raise ValueError("need a nonzero power")
-    if isinstance(classify(g, G), Hyperbolic):
-        return isinstance(classify(power(g, z, G), G), Hyperbolic)
-    return True
+def _ball(center: TreeVertex, radius: int, G: BsPresentation):
+    """The vertices within distance radius of center, sphere by sphere,
+    each sphere in breadth-first order (neighbors in vertex_neighbors
+    order).  The next sphere is built only after the previous one has been
+    consumed, so a caller that stops early does no further work."""
+    seen = {center}
+    sphere = [center]
+    for _ in range(radius):
+        yield from sphere
+        nxt = []
+        for v in sphere:
+            for w in vertex_neighbors(v, G):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        sphere = nxt
+    yield from sphere
 
 
 def _fixes_all(gs: list[NormalForm], v: TreeVertex, G: BsPresentation) -> bool:
@@ -167,26 +174,7 @@ def common_fixed_vertex(
         if isinstance(c, Hyperbolic):
             raise ValueError(f"element {format_word(g)} is hyperbolic, it fixes no vertex")
     v0 = vertex_of(classes[0].witness, G)
-
-    hit: TreeVertex | None = None
-    visited = {v0}
-    frontier = [v0]
-    depth = 0
-    while frontier and hit is None and depth <= radius_bound:
-        for v in frontier:
-            if _fixes_all(gs, v, G):
-                hit = v
-                break
-        if hit is not None or depth == radius_bound:
-            break
-        nxt = []
-        for v in frontier:
-            for w in vertex_neighbors(v, G):
-                if w not in visited:
-                    visited.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        depth += 1
+    hit = next((v for v in _ball(v0, radius_bound, G) if _fixes_all(gs, v, G)), None)
     if hit is None:
         return None
 
@@ -199,38 +187,12 @@ def common_fixed_vertex(
         else:
             break
     if vertex_distance(v0, best, G) > radius_bound:
-        best = _scan_ball_minimum(gs, v0, G, radius_bound)
-        if best is None:  # pragma: no cover - hit guarantees a ball vertex
-            return None
+        # hit lies in the ball, so the minimum is over a nonempty set
+        fixed = (v for v in _ball(v0, radius_bound, G) if _fixes_all(gs, v, G))
+        best = min(fixed, key=lambda v: nf_sort_key(v.rep))
     if not _fixes_all(gs, best, G):
         raise RuntimeError("internal error: candidate vertex fails verification")
     return best, best.rep
-
-
-def _scan_ball_minimum(
-    gs: list[NormalForm], v0: TreeVertex, G: BsPresentation, radius_bound: int
-) -> TreeVertex | None:
-    best = None
-    best_key = None
-    visited = {v0}
-    frontier = [v0]
-    depth = 0
-    while True:
-        for v in frontier:
-            if _fixes_all(gs, v, G):
-                key = nf_sort_key(v.rep)
-                if best_key is None or key < best_key:
-                    best, best_key = v, key
-        if depth == radius_bound or not frontier:
-            return best
-        nxt = []
-        for v in frontier:
-            for w in vertex_neighbors(v, G):
-                if w not in visited:
-                    visited.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        depth += 1
 
 
 def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
@@ -239,16 +201,7 @@ def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
     everything ordered lexicographically by label."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    ball = {center}
-    frontier = [center]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w in vertex_neighbors(v, G):
-                if w not in ball:
-                    ball.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    ball = set(_ball(center, radius, G))
 
     labels = sorted(str(v) for v in ball)
     edges = []

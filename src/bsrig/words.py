@@ -23,6 +23,7 @@ would overflow silently.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import gcd
 
@@ -164,7 +165,9 @@ def b_letter(e: int) -> NormalForm:
 # ---------------------------------------------------------------------------
 # parsing and printing
 
-_LETTERS = {"a": ("a", 1), "A": ("a", -1), "b": ("b", 1), "B": ("b", -1)}
+# one term per match: any non-space character, then an optional exponent;
+# finditer skips exactly the whitespace between terms
+_TERM = re.compile(r"(\S)(?:(\^)(-?)([0-9]*))?")
 
 
 def _scan(text: str, names: str) -> list[tuple[str, int]]:
@@ -174,40 +177,20 @@ def _scan(text: str, names: str) -> list[tuple[str, int]]:
     lo0, lo1 = names[0], names[1]
     table = {lo0: (lo0, 1), lo0.upper(): (lo0, -1), lo1: (lo1, 1), lo1.upper(): (lo1, -1)}
     out: list[tuple[str, int]] = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
+    for term in _TERM.finditer(text):
+        ch, caret, minus, digits = term.groups()
         if ch == "e":
             # the canonical spelling of the identity re-parses as no term
-            if i + 1 < size and text[i + 1] == "^":
-                raise WordSyntaxError("'e' takes no exponent", i + 1)
-            i += 1
+            if caret:
+                raise WordSyntaxError("'e' takes no exponent", term.start(2))
             continue
         if ch not in table:
-            raise WordSyntaxError(f"unexpected character {ch!r}", i)
+            raise WordSyntaxError(f"unexpected character {ch!r}", term.start(1))
+        if caret and not digits:
+            raise WordSyntaxError("expected digits after '^'", term.start(4))
         letter, sign = table[ch]
-        i += 1
-        exp = 1
-        if i < size and text[i] == "^":
-            i += 1
-            neg = False
-            if i < size and text[i] == "-":
-                neg = True
-                i += 1
-            j = i
-            while j < size and "0" <= text[j] <= "9":
-                j += 1
-            if j == i:
-                raise WordSyntaxError("expected digits after '^'", i)
-            exp = int(text[i:j])
-            if neg:
-                exp = -exp
-            i = j
-        out.append((letter, sign * exp))
+        exp = int(digits) if caret else 1
+        out.append((letter, -sign * exp if minus else sign * exp))
     return out
 
 

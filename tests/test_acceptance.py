@@ -1,5 +1,6 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line with
-its measured runtime and asserting the stated budget.
+"""Acceptance suite: the check table of ``bsrig.selftest`` at full scale, one
+test per criterion, each printing a PASS line with its measured runtime and
+asserting the criterion's budget.
 
 Run with  pytest tests/test_acceptance.py -v -s  to see the report lines.
 """
@@ -7,255 +8,56 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the report lines.
 import random
 import time
 
-from bsrig import (
-    ABS_M_MISMATCH,
-    CosetProfile,
-    Elliptic,
-    Hyperbolic,
-    IDENTITY,
-    N_MISMATCH,
-    NO_OBSTRUCTION,
-    ONE,
-    SIGN_MISMATCH,
-    RootOfUnity,
-    a_power,
-    abelianization_image,
-    bs,
-    canonicalize,
-    centralizes,
-    classify,
-    common_fixed_vertex,
-    coset_profile,
-    crossed_product_obstruction,
-    decompose_self_inverse,
-    enumerate_omega,
-    exchange_partners,
-    f_set_member,
-    fixes_vertex,
-    invert,
-    is_isomorphic,
-    isomorphic,
-    multiply,
-    normalize,
-    power,
-    qc_member,
-    to_group_word,
-    vertex_neighbors,
-    base_vertex,
-    word_nf,
-)
-from bsrig.oracles import (
-    oracle_b_length,
-    oracle_is_identity,
-    random_elliptic,
-    random_nf,
-    random_word,
-)
+from bsrig.selftest import CHECKS, FULL, title
 
 
-class _Budget:
-    def __init__(self, number: int, title: str, seconds: float):
-        self.number = number
-        self.title = title
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.start
-        if exc_type is None:
-            print(f"ACCEPTANCE {self.number} PASS: {self.title} ({elapsed:.2f}s)")
-            assert elapsed < self.seconds, f"criterion {self.number} beyond {self.seconds}s budget"
-        else:
-            print(f"ACCEPTANCE {self.number} FAIL: {self.title}")
-        return False
+def _accept(number: int) -> None:
+    check = CHECKS[number - 1]
+    sizes = FULL[check]
+    name = title(check, sizes)
+    rng = random.Random(sizes.seed)
+    start = time.perf_counter()
+    try:
+        check(rng, sizes)
+    except Exception:
+        print(f"ACCEPTANCE {number} FAIL: {name}")
+        raise
+    elapsed = time.perf_counter() - start
+    print(f"ACCEPTANCE {number} PASS: {name} ({elapsed:.2f}s)")
+    assert elapsed < sizes.budget, f"criterion {number} beyond {sizes.budget}s budget"
 
 
 def test_criterion_1_word_problem_soundness():
-    rng = random.Random(101)
-    with _Budget(1, "word problem: idempotent, oracle-exact, abelianization-sound", 10.0):
-        for G in (bs(2, 3), bs(2, -2), bs(3, 6), bs(1, 2)):
-            for _ in range(10**4):
-                w = random_word(rng, max_b=6, max_exp=10**6)
-                nf = normalize(w, G)
-                assert normalize(to_group_word(nf), G) == nf
-                assert (nf == IDENTITY) == oracle_is_identity(w, G, rng)
-                assert len(nf.prefix) == oracle_b_length(w, G, rng)
-                if nf == IDENTITY:
-                    assert abelianization_image(w, G) == (0, 0)
+    _accept(1)
 
 
 def test_criterion_2_hecke_profiles():
-    rng = random.Random(102)
-    with _Budget(2, "coset index profiles of b letters and l(g) = r(g^-1)", 5.0):
-        for n in range(2, 7):
-            for am in range(n, 7):
-                for m in (am, -am):
-                    G = bs(n, m)
-                    sign = 1 if m > 0 else -1
-                    assert coset_profile(word_nf("b", G), G) == CosetProfile(n, am, sign * n)
-                    assert coset_profile(word_nf("B", G), G) == CosetProfile(am, n, m)
-        G = bs(2, 3)
-        for _ in range(10**3):
-            g = random_nf(rng, G, max_b=4, max_exp=10**3)
-            p = coset_profile(g, G)
-            q = coset_profile(invert(g, G), G)
-            assert p.l == q.r and p.r == q.l
-            # the defining identity g a^L g^-1 = a^r, by the word problem
-            assert multiply(multiply(g, a_power(p.L), G), invert(g, G), G) == a_power(p.r)
+    _accept(2)
 
 
 def test_criterion_3_index_value_coverage():
-    rng = random.Random(103)
-    with _Budget(3, "observed l-values fill the index value set", 5.0):
-        G = bs(2, 3)
-        seen = set()
-        for _ in range(4000):
-            g = random_nf(rng, G, max_b=4, max_exp=8)
-            l = coset_profile(g, G).l
-            seen.add(l)
-            assert l == 1 or f_set_member(l, G)
-        assert {1, 2, 3, 4, 6, 9}.issubset(seen)
+    _accept(3)
 
 
 def test_criterion_4_self_inverse_fusion_bookkeeping():
-    rng = random.Random(104)
-    with _Budget(4, "self-inverse decompositions conserve dimension", 5.0):
-        dec = decompose_self_inverse(word_nf("b", bs(2, 3)), bs(2, 3))
-        assert dec.as_json() == [
-            {"char": "0/1"},
-            {"char": "1/3"},
-            {"char": "2/3"},
-            {"coset": "b a b^-1", "l": 3, "r": 3},
-        ]
-        for G in (bs(2, 3), bs(2, -3)):
-            done = 0
-            while done < 100:
-                g = random_nf(rng, G, max_b=2, max_exp=15)
-                try:
-                    d = decompose_self_inverse(g, G)
-                except ValueError:
-                    continue  # a collapsing conjugate: outside the operation's domain
-                done += 1
-                p = coset_profile(g, G)
-                assert d.left_dim == p.l * p.r
-                assert d.right_dim == p.l * p.r
-                for i, x in enumerate(d.terms):
-                    for y in d.terms[i + 1 :]:
-                        assert not isomorphic(x, y, G)
+    _accept(4)
 
 
 def test_criterion_5_exchange_partners_brute_force():
-    rng = random.Random(105)
-    with _Budget(5, "exchange partners match enumeration up to denominator 216", 10.0):
-        G = bs(2, 3)
-        pool = enumerate_omega(G, 24)
-        big = enumerate_omega(G, 216)
-        for _ in range(50):
-            w = rng.choice(pool)
-            g = random_nf(rng, G, max_b=2, max_exp=10)
-            p = coset_profile(g, G)
-            partners = exchange_partners(w, g, G)
-            target = w.power(p.r)
-            assert all(mu.power(p.L) == target for mu in partners)
-            brute = {mu for mu in big if mu.power(p.L) == target}
-            assert {mu for mu in partners if mu.den <= 216} == brute
+    _accept(5)
 
 
 def test_criterion_6_rigidity_matrix():
-    with _Budget(6, "obstruction verdicts across the canonical grid", 1.0):
-        for n1 in range(2, 7):
-            for am1 in range(n1, 7):
-                for m1 in (am1, -am1):
-                    for n2 in range(2, 7):
-                        for am2 in range(n2, 7):
-                            for m2 in (am2, -am2):
-                                verdict = crossed_product_obstruction(n1, m1, n2, m2)
-                                if n1 != n2:
-                                    expected = N_MISMATCH
-                                elif am1 != am2:
-                                    expected = ABS_M_MISMATCH
-                                elif n1 != am1 and m1 != m2:
-                                    expected = SIGN_MISMATCH
-                                else:
-                                    expected = NO_OBSTRUCTION
-                                assert verdict.kind == expected
-        v = crossed_product_obstruction(2, 3, 2, -3)
-        wit = v.witness
-        assert v.kind == SIGN_MISMATCH and wit is not None
-        assert wit.t == 1
-        assert wit.omega == RootOfUnity(1, 12) and wit.mu == RootOfUnity(1, 18)
-        assert wit.omega.power(2) == wit.mu.power(3)
-        assert wit.mu.power(6) != ONE
-        assert crossed_product_obstruction(2, 2, 2, -2).kind == NO_OBSTRUCTION
+    _accept(6)
 
 
 def test_criterion_7_isomorphism_criterion():
-    with _Budget(7, "isomorphism matches the multiset criterion on [-6,6]", 1.0):
-        values = [v for v in range(-6, 7) if v]
-        for n1 in values:
-            for m1 in values:
-                c1 = canonicalize(n1, m1)
-                assert canonicalize(*c1) == c1
-                for n2 in values:
-                    for m2 in values:
-                        mine = sorted((n1, m1))
-                        multiset = mine == sorted((n2, m2)) or mine == sorted((-n2, -m2))
-                        assert is_isomorphic(n1, m1, n2, m2) == multiset
+    _accept(7)
 
 
 def test_criterion_8_tree_actions():
-    rng = random.Random(108)
-    with _Budget(8, "tree classification, powers, common fixed vertices, ball size", 10.0):
-        G = bs(2, 3)
-        assert classify(word_nf("b", G), G) == Hyperbolic(1)
-        assert classify(word_nf("b a B", G), G) == Elliptic(word_nf("b", G))
-
-        hyperbolic_seen = 0
-        while hyperbolic_seen < 100:
-            g = random_nf(rng, G, max_b=4, max_exp=20)
-            if not isinstance(classify(g, G), Hyperbolic):
-                continue
-            hyperbolic_seen += 1
-            for z in (-3, -2, 2, 3):
-                assert isinstance(classify(power(g, z, G), G), Hyperbolic)
-
-        pairs_seen = 0
-        while pairs_seen < 100:
-            g = random_elliptic(rng, G, max_conj_b=2, deep=True)
-            h = random_elliptic(rng, G, max_conj_b=2, deep=True)
-            if not isinstance(classify(multiply(g, h, G), G), Elliptic):
-                continue
-            pairs_seen += 1
-            found = common_fixed_vertex([g, h], G, 8)
-            assert found is not None
-            v, _ = found
-            assert fixes_vertex(g, v, G) and fixes_vertex(h, v, G)
-
-        ball = {base_vertex(G)} | set(vertex_neighbors(base_vertex(G), G))
-        assert len(ball) == 1 + G.n + abs(G.m)
+    _accept(8)
 
 
 def test_criterion_9_quasi_centralizer_index_two():
-    rng = random.Random(109)
-    with _Budget(9, "quasi-centralizer structure of BS(2,-2)", 5.0):
-        G = bs(2, -2)
-        assert not qc_member(word_nf("b", G), G)
-        assert qc_member(word_nf("b^2", G), G)
-        members = []
-        for _ in range(300):
-            g = random_nf(rng, G, max_b=3, max_exp=20)
-            if qc_member(g, G):
-                members.append(g)
-        assert len(members) >= 20
-        for _ in range(100):
-            g, h = rng.choice(members), rng.choice(members)
-            assert qc_member(multiply(g, h, G), G)
-            x = random_nf(rng, G, max_b=2, max_exp=10)
-            assert qc_member(multiply(multiply(x, g, G), invert(x, G), G), G)
-        b = word_nf("b", G)
-        for _ in range(100):
-            g = random_nf(rng, G, max_b=3, max_exp=20)
-            assert centralizes(g, 2, G) != centralizes(multiply(g, b, G), 2, G)
+    _accept(9)

@@ -1,4 +1,5 @@
 import random
+from math import lcm
 
 import pytest
 
@@ -18,7 +19,6 @@ from bsrig import (
     hecke_unit,
     invert,
     is_identity,
-    lcm_l_values,
     multiply,
     normalize,
     qc_member,
@@ -265,13 +265,15 @@ def test_qc_member_matches_word_problem_definition():
 
 
 def test_lcm_l_values():
-    assert lcm_l_values([word_nf("a", G23)], G23) == 1
-    assert lcm_l_values([word_nf("b", G23), word_nf("B", G23)], G23) == 6
-    assert lcm_l_values([word_nf("b a b^-1", G23)], G23) == 3
-    value = lcm_l_values([word_nf("b", G23), word_nf("b^2", G23)], G23)
-    assert value == 4 and f_set_member(value, G23)
-    with pytest.raises(ValueError):
-        lcm_l_values([], G23)
+    def lcm_l(*texts):
+        return lcm(*(coset_profile(word_nf(t, G23), G23).l for t in texts))
+
+    assert lcm_l("a") == 1
+    assert lcm_l("b", "B") == 6
+    assert lcm_l("b a b^-1") == 3
+    # the lcm of l-values is again an l-value
+    assert lcm_l("b", "b^2") == 4 == coset_profile(word_nf("b^2", G23), G23).l
+    assert f_set_member(lcm_l("b", "b^2"), G23)
 
 
 def test_convolution_unit():

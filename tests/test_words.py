@@ -24,9 +24,11 @@ from bsrig import (
 from bsrig.oracles import (
     oracle_b_length,
     oracle_is_identity,
+    oracle_scan,
     random_word,
     with_inserted_relator,
 )
+from bsrig.words import _scan
 
 G23 = bs(2, 3)
 GROUPS = [bs(2, 3), bs(2, -2), bs(3, 6), bs(1, 2)]
@@ -63,6 +65,42 @@ def test_parse_errors_carry_offset():
     with pytest.raises(WordSyntaxError) as err:
         parse_word("b a^- 3")
     assert err.value.offset == 5
+
+
+def _tokens_or_error(scan, text, names):
+    try:
+        return scan(text, names)
+    except WordSyntaxError as exc:
+        return str(exc), exc.offset
+
+
+def _random_text(rng):
+    """Terms over a..d and e with ASCII and non-ASCII digits in exponents,
+    stray symbols, and runs of Unicode whitespace."""
+    digits = "01234567890123456789\u0663\uff15"
+    parts = []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.8:
+            parts.append(rng.choice("aAbBcCdDe"))
+            if rng.random() < 0.5:
+                exp = "".join(rng.choice(digits) for _ in range(rng.randint(0, 3)))
+                parts.append("^" + rng.choice(["", "-"]) + exp)
+        else:
+            parts.append(rng.choice("^-q.Z9\u0663"))
+        parts.append("".join(rng.choice(" \t\n\u00a0\u2003\x1c") for _ in range(rng.randint(0, 2))))
+    return "".join(parts)
+
+
+def test_scanner_matches_character_oracle():
+    rng = random.Random(44)
+    outcomes = set()
+    for _ in range(5000):
+        text = _random_text(rng)
+        for names in ("ab", "cd"):
+            got = _tokens_or_error(_scan, text, names)
+            assert got == _tokens_or_error(oracle_scan, text, names), (text, names)
+            outcomes.add(got[0].split()[0] if isinstance(got, tuple) else "tokens")
+    assert outcomes == {"tokens", "unexpected", "expected", "'e'"}
 
 
 def test_format_round_trip():
