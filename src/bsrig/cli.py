@@ -253,6 +253,20 @@ def _call(args: argparse.Namespace) -> tuple[tuple, int]:
 def run(argv: list[str]) -> int:
     """Entry point used by tests: returns the exit code, writing to the real
     stdout/stderr."""
+    # exact answers such as r(b^10000) = 3^10000 exceed the interpreter's
+    # default limit on int <-> str conversion (Python 3.11+); lift it for
+    # the call only
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return _dispatch(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _dispatch(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -276,10 +290,6 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    # exact answers such as r(b^10000) = 3^10000 exceed the interpreter's
-    # default limit on int <-> str conversion (Python 3.11+)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -15,6 +15,7 @@ the whole group is F + {1} where F = {k n0^s |m0|^t : s + t > 0}.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -238,33 +239,33 @@ def hecke_unit(G: BsPresentation) -> HeckeElement:
 def hecke_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> HeckeElement:
     """Convolution product extended bilinearly from double cosets.
 
-    For double cosets D, E with representatives d, e, writing
-    E = union of <a> e a^j over 0 <= j < l(e), the coefficient of F at a
-    representative f is
+    For double cosets D, E with representatives d, e, the coefficient of a
+    double coset F with representative f is
 
-        c^F = #{ j : f (e a^j)^-1 in D }.
+        c^F = l(e) * #{ i < l(d) : d a^i e in F } / l(f).
 
-    The count does not depend on the chosen representatives, the unit coset
-    acts as identity, and the degree map T_D -> l(d) is multiplicative:
-    sum_F c^F l(f_F) = l(d) l(e).  Support candidates are the double cosets
-    of d a^i e over 0 <= i < l(d).
+    D is the union of its l(d) left cosets <a> d a^i and E of its l(e)
+    left cosets <a> e a^j.  The pairs (i, j) hit each of the l(f) left
+    cosets of F exactly c^F times, and d a^i e a^j lies in F iff d a^i e
+    does, so counting over i alone fixes every coefficient and the division
+    is exact (Krieg, Hecke algebras, Mem. AMS 435).  The unit coset acts as
+    identity, and the degree map T_D -> l(d) is multiplicative:
+    sum_F c^F l(f_F) = l(d) l(e).
     """
     acc: dict[DoubleCoset, int] = {}
     for D, cD in x.terms:
         d = D.representative
         for E, cE in y.terms:
             e = E.representative
-            candidates: dict[DoubleCoset, None] = {}
-            for i in range(D.profile.l):
-                F = double_coset(multiply(multiply(d, a_power(i), G), e, G), G)
-                candidates.setdefault(F)
-            for F in candidates:
-                f = F.representative
-                count = 0
-                for j in range(E.profile.l):
-                    t = multiply(f, invert(multiply(e, a_power(j), G), G), G)
-                    if double_coset(t, G) == D:
-                        count += 1
-                if count:
-                    acc[F] = acc.get(F, 0) + cD * cE * count
+            hits = Counter(
+                double_coset(multiply(multiply(d, a_power(i), G), e, G), G)
+                for i in range(D.profile.l)
+            )
+            for F, count in hits.items():
+                c, rem = divmod(E.profile.l * count, F.profile.l)
+                if rem:
+                    raise RuntimeError(
+                        f"internal error: coefficient of {F} in {D} * {E} is not an integer"
+                    )
+                acc[F] = acc.get(F, 0) + cD * cE * c
     return HeckeElement.from_dict(acc)

@@ -7,12 +7,15 @@ order.  Britton's criterion then decides triviality of the reduced word.
 The index-profile oracle searches exponents one by one through the word
 problem instead of propagating constraints.  The scanner tokenizes words
 one character at a time, as a reference for the parser's single pattern.
+The convolution oracle counts Hecke coefficients from their definition,
+one double coset canonicalisation per (candidate, right coset) pair.
 """
 
 from __future__ import annotations
 
 import random
 
+from .hecke import DoubleCoset, HeckeElement, double_coset
 from .words import (
     BsPresentation,
     GroupWord,
@@ -32,6 +35,7 @@ __all__ = [
     "oracle_is_identity",
     "oracle_b_length",
     "oracle_profile",
+    "oracle_convolve",
     "random_word",
     "random_nf",
     "with_inserted_relator",
@@ -139,6 +143,35 @@ def oracle_profile(g: NormalForm, G: BsPresentation, bound: int = 10**6) -> tupl
         if multiply(multiply(g, a_power(L), G), ginv, G) == a_power(r):
             return l, r, L
     raise RuntimeError("no signed exponent matches, which contradicts almost normality")
+
+
+def oracle_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> HeckeElement:
+    """Convolution by the definition: writing E = union of <a> e a^j over
+    0 <= j < l(e), the coefficient of F at a representative f is
+
+        c^F = #{ j : f (e a^j)^-1 in D },
+
+    over the support candidates, the double cosets of d a^i e for
+    0 <= i < l(d)."""
+    acc: dict[DoubleCoset, int] = {}
+    for D, cD in x.terms:
+        d = D.representative
+        for E, cE in y.terms:
+            e = E.representative
+            candidates: dict[DoubleCoset, None] = {}
+            for i in range(D.profile.l):
+                F = double_coset(multiply(multiply(d, a_power(i), G), e, G), G)
+                candidates.setdefault(F)
+            for F in candidates:
+                f = F.representative
+                count = 0
+                for j in range(E.profile.l):
+                    t = multiply(f, invert(multiply(e, a_power(j), G), G), G)
+                    if double_coset(t, G) == D:
+                        count += 1
+                if count:
+                    acc[F] = acc.get(F, 0) + cD * cE * count
+    return HeckeElement.from_dict(acc)
 
 
 # ---------------------------------------------------------------------------

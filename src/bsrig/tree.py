@@ -27,7 +27,6 @@ from .words import (
     format_word,
     invert,
     multiply,
-    nf_sort_key,
 )
 
 __all__ = [
@@ -152,17 +151,17 @@ def common_fixed_vertex(
     """Search the ball of the given radius around the first element's witness
     vertex for a vertex fixed by every element of gs.
 
-    Returns the fixed vertex in the ball whose representative has the least
-    b-length (ties broken lexicographically) together with that
+    Returns the common fixed vertex of least b-length together with its
     representative, or None if the ball holds no common fixed vertex.  The
     search is bounded: absence is not a disproof.  Rejects hyperbolic input.
 
-    The fixed-point sets are subtrees, so the least-b-length fixed vertex is
-    the projection of the base vertex onto their intersection.  Once any
-    fixed vertex is found, walking its representative prefix toward the base
-    vertex while all elements still fix reaches that projection directly;
-    the full ball is only scanned in the corner case where the projection
-    lies outside it.
+    The first vertex the breadth-first walk finds is already the least one.
+    The witness vertex v0 of the first element g1 has b-length
+    |g1|_b / 2 = d(base, Fix(g1)), so it is the projection of the base
+    vertex onto the subtree Fix(g1).  Every geodesic from the base vertex
+    into the common fixed subtree X, a subtree of Fix(g1), therefore passes
+    through v0, and the vertex of X nearest v0 is the unique vertex of X of
+    least b-length.  It lies in the ball whenever any vertex of X does.
     """
     gs = list(gs)
     if not gs:
@@ -175,24 +174,7 @@ def common_fixed_vertex(
             raise ValueError(f"element {format_word(g)} is hyperbolic, it fixes no vertex")
     v0 = vertex_of(classes[0].witness, G)
     hit = next((v for v in _ball(v0, radius_bound, G) if _fixes_all(gs, v, G)), None)
-    if hit is None:
-        return None
-
-    # walk toward the base vertex inside the common fixed subtree
-    best = hit
-    while best.rep.prefix:
-        parent = TreeVertex(NormalForm(best.rep.prefix[:-1], 0))
-        if _fixes_all(gs, parent, G):
-            best = parent
-        else:
-            break
-    if vertex_distance(v0, best, G) > radius_bound:
-        # hit lies in the ball, so the minimum is over a nonempty set
-        fixed = (v for v in _ball(v0, radius_bound, G) if _fixes_all(gs, v, G))
-        best = min(fixed, key=lambda v: nf_sort_key(v.rep))
-    if not _fixes_all(gs, best, G):
-        raise RuntimeError("internal error: candidate vertex fails verification")
-    return best, best.rep
+    return None if hit is None else (hit, hit.rep)
 
 
 def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:

@@ -42,19 +42,35 @@ def test_readme_examples_match(capsys):
             assert out == shown, argv
 
 
-def test_main_prints_exact_integers_past_the_digit_limit():
+def _bsrig(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bsrig.cli", "--group", "2,3", "profile", "b^10000"],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_main_prints_exact_integers_past_the_digit_limit(capsys):
+    proc = _bsrig("-m", "bsrig.cli", "--group", "2,3", "profile", "b^10000")
     assert (proc.returncode, proc.stderr) == (0, "")
+    # the in-process entry point lifts the limit for the call only
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert run(["--group", "2,3", "profile", "b^10000"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    captured = capsys.readouterr()
+    assert captured.err == ""
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        r = proc.stdout.split('"r":')[1].split(",")[0]
-        assert r == str(3**10000)
+        want = str(3**10000)
+        for out in (proc.stdout, captured.out):
+            assert out.split('"r":')[1].split(",")[0] == want
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def test_selftest_refuses_to_run_without_assertions():
+    proc = _bsrig("-O", "-m", "bsrig.cli", "selftest")
+    assert proc.returncode == 1
+    assert not any(line.startswith("ok") for line in proc.stdout.splitlines())
+    assert "-O" in proc.stdout + proc.stderr

@@ -12,6 +12,7 @@ from bsrig import (
     bs,
     centralizes,
     coset_profile,
+    decompose_self_inverse,
     double_coset,
     f_set,
     f_set_member,
@@ -25,7 +26,7 @@ from bsrig import (
     same_double_coset,
     word_nf,
 )
-from bsrig.oracles import oracle_profile, random_nf
+from bsrig.oracles import oracle_convolve, oracle_profile, random_nf
 
 G23 = bs(2, 3)
 
@@ -297,11 +298,56 @@ def test_convolution_frozen_instance():
 
 def test_convolution_degree_identity():
     rng = random.Random(18)
+    pairs = [(word_nf("b^4", G23), word_nf("B^4", G23))]
     for _ in range(25):
-        d = double_coset(random_nf(rng, G23, max_b=2, max_exp=8), G23)
-        e = double_coset(random_nf(rng, G23, max_b=2, max_exp=8), G23)
+        g = random_nf(rng, G23, max_b=2, max_exp=8)
+        pairs.append((g, random_nf(rng, G23, max_b=2, max_exp=8)))
+    for g, h in pairs:
+        d, e = double_coset(g, G23), double_coset(h, G23)
         prod = hecke_convolve(HeckeElement.single(d), HeckeElement.single(e), G23)
         assert sum(c * F.profile.l for F, c in prod.terms) == d.profile.l * e.profile.l
+
+
+def test_convolution_matches_definition_oracle():
+    rng = random.Random(23)
+    coeffs = (-3, -2, -1, 2, 3)
+    for G in (bs(2, 3), bs(2, -3), bs(3, 4), bs(2, 2), bs(2, -2), bs(3, 6)):
+        for _ in range(40):
+            x = HeckeElement.single(
+                double_coset(random_nf(rng, G, max_b=2, max_exp=8), G), rng.choice(coeffs)
+            )
+            y = HeckeElement.from_dict({
+                double_coset(random_nf(rng, G, max_b=2, max_exp=8), G): rng.choice(coeffs)
+                for _ in range(2)
+            })
+            assert hecke_convolve(x, y, G) == oracle_convolve(x, y, G)
+
+
+def test_self_inverse_product_matches_decomposition():
+    # T_g * T_{g^-1} = r(g) T_e + the sum of the decomposition's coset terms
+    rng = random.Random(24)
+    accepted = 0
+    for G in (bs(2, 3), bs(2, -3), bs(3, 4)):
+        for _ in range(80):
+            g = random_nf(rng, G, max_b=2, max_exp=8)
+            if not g.prefix:
+                continue
+            try:
+                dec = decompose_self_inverse(g, G)
+            except ValueError:
+                continue
+            accepted += 1
+            prod = hecke_convolve(
+                HeckeElement.single(double_coset(g, G)),
+                HeckeElement.single(double_coset(invert(g, G), G)),
+                G,
+            )
+            want = HeckeElement.single(double_coset(IDENTITY, G), coset_profile(g, G).r)
+            for t in dec.terms:
+                if t.coset is not None:
+                    want = want.add(HeckeElement.single(t.coset))
+            assert prod == want
+    assert accepted >= 60
 
 
 def test_convolution_representative_independence():

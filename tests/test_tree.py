@@ -8,6 +8,7 @@ from bsrig import (
     IDENTITY,
     NormalForm,
     TreeEdge,
+    a_power,
     base_vertex,
     bs,
     classify,
@@ -156,6 +157,31 @@ def test_elliptic_pairs_with_elliptic_product_share_a_vertex():
         assert fixes_vertex(g, v, G23) and fixes_vertex(h, v, G23)
 
 
+def _ball_minimum(gs, G, radius):
+    """The least common fixed vertex within radius of the first element's
+    witness vertex, by an independent walk over the whole ball; or None."""
+    v0 = vertex_of(classify(gs[0], G).witness, G)
+    frontier = [v0]
+    seen = {v0}
+    for _ in range(radius):
+        nxt = []
+        for u in frontier:
+            for w in vertex_neighbors(u, G):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    fixed = [u for u in seen if all(fixes_vertex(g, u, G) for g in gs)]
+    return min(fixed, key=lambda u: (len(u.rep.prefix), u.rep.prefix, u.rep.tail), default=None)
+
+
+def _nontrivial_nf(rng, G):
+    while True:
+        u = random_nf(rng, G, max_b=2, max_exp=6)
+        if u.prefix:
+            return u
+
+
 def test_returned_vertex_is_ball_minimal():
     rng = random.Random(27)
     for _ in range(25):
@@ -163,23 +189,26 @@ def test_returned_vertex_is_ball_minimal():
         found = common_fixed_vertex([g], G23, 5)
         assert found is not None
         v, _ = found
-        v0 = vertex_of(classify(g, G23).witness, G23)
         # no fixed vertex in the ball has a shorter representative
-        frontier = [v0]
-        seen = {v0}
-        for _ in range(5):
-            nxt = []
-            for u in frontier:
-                for w in vertex_neighbors(u, G23):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        best = min(
-            (u for u in seen if fixes_vertex(g, u, G23)),
-            key=lambda u: (len(u.rep.prefix), u.rep.prefix, u.rep.tail),
-        )
-        assert v == best
+        assert v == _ball_minimum([g], G23, 5)
+    # sets of deep elliptic elements u a^p u^-1 whose conjugators u extend
+    # the first one's, so the least common fixed vertex is often not the
+    # first element's witness vertex
+    off_witness = 0
+    for G in (G23, bs(2, -3)):
+        for size in (2, 3) * 6:
+            c = _nontrivial_nf(rng, G)
+            gs = []
+            for i in range(size):
+                u = c if i == 0 else multiply(c, _nontrivial_nf(rng, G), G)
+                p = rng.choice((-2, -1, 1, 2)) * G.n * G.m
+                gs.append(multiply(multiply(u, a_power(p), G), invert(u, G), G))
+            found = common_fixed_vertex(gs, G, 5)
+            best = _ball_minimum(gs, G, 5)
+            assert found == (None if best is None else (best, best.rep))
+            v0 = vertex_of(classify(gs[0], G).witness, G)
+            off_witness += best is not None and best != v0
+    assert off_witness >= 8
 
 
 def test_vertex_neighbors_and_distance():
