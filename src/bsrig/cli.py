@@ -1,8 +1,12 @@
 """Command line front end.
 
 One binary, subcommand style, declared once per subcommand in ``COMMANDS``:
-help, arguments, whether ``--group n,m`` is needed (negative values
-allowed, e.g. ``2,-3``) and a handler returning ``(payload, text)``.
+help, arguments, whether ``--group n,m`` is needed and a handler
+returning ``(payload, text)``.  Negative values are allowed: ``2,-3``;
+argparse reads an argument that starts with ``-`` as an option, so a
+negative n is attached with ``=`` (``--group=-2,3``) and a positional
+argument such as ``-2,-3`` or ``-1/3`` follows a ``--`` separator
+(``bsrig iso -- -2,-3 2,3``).
 ``--format json`` emits exactly one JSON document on stdout, the payload;
 text mode prints the text, or the payload where there is none.  Exit
 codes: 0 success, 1 domain error or failed selftest, 2 usage error.

@@ -8,9 +8,15 @@ an element are
     r(g) = smallest z > 0 with g^-1 a^z g in <a>   (left translates a^i g <a>),
     L(g) = the signed exponent with g a^{L(g)} g^-1 = a^{r(g)}, |L(g)| = l(g).
 
-All three come out of one integer propagation over the b-letters of the
-normal form, with every division exact.  The set of values taken by l on
-the whole group is F + {1} where F = {k n0^s |m0|^t : s + t > 0}.
+All three, and the canonical representative of <a> g <a>, come out of one
+left-to-right pass over the b-letters of the normal form that follows every
+left translate a^i g at once.  Invariant: the translates a^{i + R y} (y in
+Z) still in play share the least prefix so far and push a^{x + S y} into
+the next letter, whose digit x + S y mod c (c = |m| for b, |n| for b^-1)
+is least on one class of y modulo c / gcd(S, c).  Every division is exact,
+and at the end a^R g = g a^S, so r = R, L = S and l = |S|.  The set of
+values taken by l on the whole group is F + {1} where
+F = {k n0^s |m0|^t : s + t > 0}.
 """
 
 from __future__ import annotations
@@ -57,28 +63,35 @@ class CosetProfile:
         return {"l": self.l, "r": self.r, "L": self.L}
 
 
-def coset_profile(g: NormalForm, G: BsPresentation) -> CosetProfile:
-    """Compute (l(g), r(g), L(g)) by one right-to-left pass.
-
-    Invariant while scanning a suffix of the b-letters: the exponents z with
-    (suffix) a^z (suffix)^-1 in <a> are exactly A*Z, and a^{A w} conjugates
-    to a^{E w}.  Crossing one more letter with constraint c (c = |n| for b,
-    c = |m| for b^-1) tightens A by j = c / gcd(c, E) and scales E by m/n or
-    n/m; both divisions are exact because E*j is a multiple of c.
-    """
-    n, m = G.n, G.m
-    A, E = 1, 1
-    for s, e in reversed(g.prefix):
-        c = abs(n) if e == 1 else abs(m)
-        j = c // gcd(c, E)
-        A *= j
-        Ej = E * j
-        E = (Ej // n) * m if e == 1 else (Ej // m) * n
-    profile = CosetProfile(A, abs(E), A if E > 0 else -A)
+def _least_translate(g: NormalForm, G: BsPresentation) -> tuple[tuple, int, CosetProfile]:
+    """The translate pass of the module docstring: the prefix of the least
+    tail-zeroed translate a^i g, an i reaching it, and the profile of g."""
+    i, x, R, S = 0, 0, 1, 1
+    prefix = []
+    for s, e in g.prefix:
+        num, den = (G.n, G.m) if e == 1 else (G.m, G.n)
+        x += s
+        d = gcd(S, den)
+        q = abs(den) // d
+        t = x % d
+        y = (t - x) // d * pow(S // d, -1, q) % q
+        prefix.append((t, e))
+        i += R * y
+        R *= q
+        # x + S y - t is a multiple of den as a whole; x alone need not be
+        x = (x + S * y - t) // den * num
+        S = S // d * (num if den > 0 else -num)
+    profile = CosetProfile(abs(S), R, S)
     # postcondition g a^L g^-1 = a^r, checked through the word problem
     if multiply(multiply(g, a_power(profile.L), G), invert(g, G), G) != a_power(profile.r):
         raise RuntimeError(f"internal error: profile {profile} fails verification for {g}")
-    return profile
+    return tuple(prefix), i, profile
+
+
+def coset_profile(g: NormalForm, G: BsPresentation) -> CosetProfile:
+    """(l(g), r(g), L(g)) by the translate pass: the translates with the
+    least prefix are a^{i + r(g) y}, and a^{r(g)} g = g a^{L(g)}."""
+    return _least_translate(g, G)[2]
 
 
 def f_set_member(z: int, G: BsPresentation) -> bool:
@@ -142,17 +155,13 @@ class DoubleCoset:
 
 
 def double_coset(g: NormalForm, G: BsPresentation) -> DoubleCoset:
-    profile = coset_profile(g, G)
-    base = NormalForm(g.prefix, 0)
-    best = base
-    best_key = nf_sort_key(base)
-    for i in range(1, profile.r):
-        cand = multiply(a_power(i), base, G)
-        cand = NormalForm(cand.prefix, 0)
-        key = nf_sort_key(cand)
-        if key < best_key:
-            best, best_key = cand, key
-    return DoubleCoset(best, profile)
+    """<a> g <a>, its representative chosen digit by digit from the left by
+    the translate pass, in O(b-length) arithmetic steps."""
+    prefix, i, profile = _least_translate(g, G)
+    # postcondition: the translate a^i g has the chosen prefix
+    if multiply(a_power(i), g, G).prefix != prefix:
+        raise RuntimeError(f"internal error: a^{i} {g} does not have prefix {prefix}")
+    return DoubleCoset(NormalForm(prefix, 0), profile)
 
 
 def same_double_coset(g: NormalForm, h: NormalForm, G: BsPresentation) -> bool:

@@ -7,15 +7,17 @@ order.  Britton's criterion then decides triviality of the reduced word.
 The index-profile oracle searches exponents one by one through the word
 problem instead of propagating constraints.  The scanner tokenizes words
 one character at a time, as a reference for the parser's single pattern.
-The convolution oracle counts Hecke coefficients from their definition,
-one double coset canonicalisation per (candidate, right coset) pair.
+The double coset oracle scans all r(g) left translates a^i g for the
+least tail-zeroed one, instead of choosing the representative digit by
+digit.  The convolution oracle counts Hecke coefficients from their
+definition, one scan canonicalisation per (candidate, right coset) pair.
 """
 
 from __future__ import annotations
 
 import random
 
-from .hecke import DoubleCoset, HeckeElement, double_coset
+from .hecke import DoubleCoset, HeckeElement, coset_profile
 from .words import (
     BsPresentation,
     GroupWord,
@@ -26,6 +28,7 @@ from .words import (
     inverse_word,
     invert,
     multiply,
+    nf_sort_key,
     normalize,
 )
 
@@ -35,6 +38,7 @@ __all__ = [
     "oracle_is_identity",
     "oracle_b_length",
     "oracle_profile",
+    "scan_double_coset",
     "oracle_convolve",
     "random_word",
     "random_nf",
@@ -145,6 +149,20 @@ def oracle_profile(g: NormalForm, G: BsPresentation, bound: int = 10**6) -> tupl
     raise RuntimeError("no signed exponent matches, which contradicts almost normality")
 
 
+def scan_double_coset(g: NormalForm, G: BsPresentation) -> DoubleCoset:
+    profile = coset_profile(g, G)
+    base = NormalForm(g.prefix, 0)
+    best = base
+    best_key = nf_sort_key(base)
+    for i in range(1, profile.r):
+        cand = multiply(a_power(i), base, G)
+        cand = NormalForm(cand.prefix, 0)
+        key = nf_sort_key(cand)
+        if key < best_key:
+            best, best_key = cand, key
+    return DoubleCoset(best, profile)
+
+
 def oracle_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> HeckeElement:
     """Convolution by the definition: writing E = union of <a> e a^j over
     0 <= j < l(e), the coefficient of F at a representative f is
@@ -160,14 +178,14 @@ def oracle_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> Heck
             e = E.representative
             candidates: dict[DoubleCoset, None] = {}
             for i in range(D.profile.l):
-                F = double_coset(multiply(multiply(d, a_power(i), G), e, G), G)
+                F = scan_double_coset(multiply(multiply(d, a_power(i), G), e, G), G)
                 candidates.setdefault(F)
             for F in candidates:
                 f = F.representative
                 count = 0
                 for j in range(E.profile.l):
                     t = multiply(f, invert(multiply(e, a_power(j), G), G), G)
-                    if double_coset(t, G) == D:
+                    if scan_double_coset(t, G) == D:
                         count += 1
                 if count:
                     acc[F] = acc.get(F, 0) + cD * cE * count

@@ -8,10 +8,14 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the report lines.
 import random
 import time
 
+import pytest
+
 from bsrig.selftest import CHECKS, FULL, title
 
 
 def _accept(number: int) -> None:
+    if not __debug__:
+        pytest.fail("the checks are assert statements, which python -O removes; run without -O")
     check = CHECKS[number - 1]
     sizes = FULL[check]
     name = title(check, sizes)

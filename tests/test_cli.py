@@ -84,6 +84,12 @@ def test_coset_convolve_fuse(capsys):
     ]
 
 
+def test_negative_parameters_after_equals_or_separator(capsys):
+    code, out, _ = invoke(capsys, "--group=-2,3", "coset", "b")
+    assert (code, out) == (0, '{"coset":"b","l":2,"r":3,"L":-2}\n')
+    assert invoke(capsys, "iso", "--", "-2,-3", "2,3")[:2] == (0, "true\n")
+
+
 def test_exchange(capsys):
     code, out, _ = invoke(capsys, "--group", "2,3", "exchange", "1/3", "B")
     assert (code, out) == (0, "2/9 5/9 8/9\n")

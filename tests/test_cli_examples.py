@@ -74,3 +74,12 @@ def test_selftest_refuses_to_run_without_assertions():
     assert proc.returncode == 1
     assert not any(line.startswith("ok") for line in proc.stdout.splitlines())
     assert "-O" in proc.stdout + proc.stderr
+
+
+def test_acceptance_refuses_to_run_without_assertions():
+    proc = _bsrig(
+        "-O", "-m", "pytest", str(ROOT / "tests" / "test_acceptance.py"),
+        "-k", "criterion_7", "-q", "-p", "no:cacheprovider",
+    )
+    assert proc.returncode != 0
+    assert "-O" in proc.stdout + proc.stderr

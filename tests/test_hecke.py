@@ -26,7 +26,7 @@ from bsrig import (
     same_double_coset,
     word_nf,
 )
-from bsrig.oracles import oracle_convolve, oracle_profile, random_nf
+from bsrig.oracles import oracle_convolve, oracle_profile, random_nf, scan_double_coset
 
 G23 = bs(2, 3)
 
@@ -53,7 +53,8 @@ def test_profile_examples():
 
 def test_profile_against_brute_search():
     rng = random.Random(10)
-    for G in (G23, bs(2, -3), bs(4, 6), bs(2, -2)):
+    groups = (G23, bs(2, -3), bs(4, 6), bs(2, -2), bs(-2, 3), bs(3, 2), bs(1, 2), bs(3, -4))
+    for G in groups:
         for _ in range(40):
             g = random_nf(rng, G, max_b=3, max_exp=20)
             p = coset_profile(g, G)
@@ -146,6 +147,22 @@ def test_double_coset_canonical_representative():
         for i in range(D.profile.r):
             cand = multiply(a_power(i), g, G23)
             assert nf_sort_key(D.representative) <= nf_sort_key(NormalForm(cand.prefix, 0))
+    # the digit-by-digit choice equals the scan over all r(g) translates
+    groups = (
+        bs(2, -3), bs(3, 4), bs(2, 2), bs(2, -2), bs(-2, 3),
+        bs(3, 2), bs(1, 2), bs(1, -1), bs(3, -4), bs(-4, -6),
+    )
+    for G in groups:
+        compared = 0
+        while compared < 30:
+            g = random_nf(rng, G, max_b=4, max_exp=40)
+            if coset_profile(g, G).r <= 2000:
+                assert double_coset(g, G) == scan_double_coset(g, G), (G, g)
+                compared += 1
+    # far past any scan: r(b^200) = 3^200
+    D = double_coset(word_nf("b^200", G23), G23)
+    assert str(D) == "b^200"
+    assert D.profile == CosetProfile(2**200, 3**200, 2**200)
 
 
 def test_double_coset_membership_enumeration():
