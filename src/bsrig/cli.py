@@ -181,6 +181,10 @@ def _arg(name: str, **options) -> tuple[str, dict]:
 WORD = (_arg("word"),)
 TWO_WORDS = (_arg("word1"), _arg("word2"))
 TWO_PAIRS = (_arg("pair1"), _arg("pair2"))
+RADIUS_HELP = (
+    "largest distance of the vertex from the first word's witness vertex; at half "
+    "the largest b-length or more, absent is proven (default 8)"
+)
 
 COMMANDS = {
     "reduce": Command("normal form of a word", _reduce, WORD),
@@ -192,7 +196,7 @@ COMMANDS = {
     "fixed": Command(
         "common fixed vertex of elliptic words",
         _fixed,
-        (_arg("words", nargs="+"), _arg("--radius", type=int, default=8)),
+        (_arg("words", nargs="+"), _arg("--radius", type=int, default=8, help=RADIUS_HELP)),
     ),
     "tree-ball": Command(
         "DOT export of a tree ball", _tree_ball, (_arg("center"), _arg("radius", type=int))
@@ -222,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bsrig",
         description="Exact computations in Baumslag-Solitar groups BS(n, m).",
     )
-    parser.add_argument("--group", help="group parameters n,m (e.g. 2,3 or 2,-3)")
+    parser.add_argument("--group", help="group parameters n,m (e.g. 2,3, 2,-3 or --group=-2,3)")
     parser.add_argument("--format", choices=["text", "json"], default=None)
     parser.add_argument("--seed", type=int, default=None)
 

@@ -236,14 +236,12 @@ def decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
 
 def exchange_partners(w: RootOfUnity, g: NormalForm, G: BsPresentation) -> set[RootOfUnity]:
     """All u in Omega with u^{L(g)} = w^{r(g)}: the |L(g)| exact solutions
-    of L * angle(u) = r * angle(w) mod 1, filtered by Omega membership."""
+    of L * angle(u) = r * angle(w) mod 1, all in Omega.  Omega bounds only
+    the primes p of k prime to n0 m0, by v_p(k); L = 1 for g in <a>, and
+    once g has a b-letter the residue pass keeps v_p(L) = v_p(k) <= v_p(r),
+    so w^r has order prime to p and v_p(order of u) <= v_p(L)."""
     if not omega_member(w, G):
         raise ValueError(f"{w} is not in Omega for {G}")
     p = coset_profile(g, G)
     target = Fraction(w.num * p.r, w.den)
-    out = set()
-    for j in range(abs(p.L)):
-        cand = RootOfUnity.from_fraction(Fraction(target + j, p.L))
-        if omega_member(cand, G):
-            out.add(cand)
-    return out
+    return {RootOfUnity.from_fraction((target + j) / p.L) for j in range(abs(p.L))}

@@ -166,6 +166,7 @@ def _tree(rng: random.Random, s: Sizes) -> None:
     G = bs(2, 3)
     assert tree.classify(word_nf("b", G), G) == tree.Hyperbolic(1)
     assert tree.classify(word_nf("b a B", G), G) == tree.Elliptic(word_nf("b", G))
+    assert tree.common_fixed_vertex([word_nf("a^2", G), word_nf("b a^3 B", G)], G, 8) is None
 
     hyperbolic_seen = 0
     while hyperbolic_seen < s.hyperbolic:
@@ -181,6 +182,8 @@ def _tree(rng: random.Random, s: Sizes) -> None:
         g = oracles.random_elliptic(rng, G, max_conj_b=2, deep=True)
         h = oracles.random_elliptic(rng, G, max_conj_b=2, deep=True)
         if not isinstance(tree.classify(words.multiply(g, h, G), G), tree.Elliptic):
+            # a hyperbolic product certifies that no common fixed vertex exists
+            assert tree.common_fixed_vertex([g, h], G, 8) is None
             continue
         pairs_seen += 1
         found = tree.common_fixed_vertex([g, h], G, 8)

@@ -10,7 +10,8 @@ of the rep is the distance to the base vertex.
 
 An element is elliptic iff its cyclically reduced core is an a-power;
 otherwise it is hyperbolic and translates along an axis by the cyclically
-reduced b-length.
+reduced b-length.  Common fixed vertices are found by a walk along
+geodesics, not by a ball search.
 """
 
 from __future__ import annotations
@@ -122,46 +123,34 @@ def classify(g: NormalForm, G: BsPresentation) -> Elliptic | Hyperbolic:
     return Elliptic(conj)
 
 
-def _ball(center: TreeVertex, radius: int, G: BsPresentation):
-    """The vertices within distance radius of center, sphere by sphere,
-    each sphere in breadth-first order (neighbors in vertex_neighbors
-    order).  The next sphere is built only after the previous one has been
-    consumed, so a caller that stops early does no further work."""
-    seen = {center}
+def _ball(center: TreeVertex, radius: int, G: BsPresentation) -> set[TreeVertex]:
+    """The vertices within distance radius of center."""
+    ball = {center}
     sphere = [center]
     for _ in range(radius):
-        yield from sphere
-        nxt = []
-        for v in sphere:
-            for w in vertex_neighbors(v, G):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        sphere = nxt
-    yield from sphere
-
-
-def _fixes_all(gs: list[NormalForm], v: TreeVertex, G: BsPresentation) -> bool:
-    return all(fixes_vertex(g, v, G) for g in gs)
+        sphere = [w for v in sphere for w in vertex_neighbors(v, G) if w not in ball]
+        ball.update(sphere)
+    return ball
 
 
 def common_fixed_vertex(
     gs, G: BsPresentation, radius_bound: int
 ) -> tuple[TreeVertex, NormalForm] | None:
-    """Search the ball of the given radius around the first element's witness
-    vertex for a vertex fixed by every element of gs.
+    """The common fixed vertex of least b-length of the elements of gs, with
+    its representative, if it lies within radius_bound of the first
+    element's witness vertex v0; None otherwise.  Rejects hyperbolic input.
 
-    Returns the common fixed vertex of least b-length together with its
-    representative, or None if the ball holds no common fixed vertex.  The
-    search is bounded: absence is not a disproof.  Rejects hyperbolic input.
-
-    The first vertex the breadth-first walk finds is already the least one.
-    The witness vertex v0 of the first element g1 has b-length
-    |g1|_b / 2 = d(base, Fix(g1)), so it is the projection of the base
-    vertex onto the subtree Fix(g1).  Every geodesic from the base vertex
-    into the common fixed subtree X, a subtree of Fix(g1), therefore passes
-    through v0, and the vertex of X nearest v0 is the unique vertex of X of
-    least b-length.  It lies in the ball whenever any vertex of X does.
+    A walk along geodesics (Serre, Trees, I.6.5): while some g moves the
+    current vertex v, step to the first vertex of the geodesic from v to
+    g v, spelled by v's rep and the first syllable of v's conjugate of g.
+    That geodesic runs through the projection of v onto Fix(g), which
+    contains the common fixed subtree X, so the walk follows the geodesic
+    from v0 to X.  It ends at the least vertex of X, since every geodesic
+    from the base vertex into X runs through v0, the projection of the base
+    vertex onto Fix(g1).  A nonempty X is nearest the base vertex at the
+    farthest of its projections onto the Fix(g), at distance
+    max |g|_b / 2: the walk takes at most that many steps, and from that
+    radius on None proves absence.
     """
     gs = list(gs)
     if not gs:
@@ -172,9 +161,13 @@ def common_fixed_vertex(
     for g, c in zip(gs, classes):
         if isinstance(c, Hyperbolic):
             raise ValueError(f"element {format_word(g)} is hyperbolic, it fixes no vertex")
-    v0 = vertex_of(classes[0].witness, G)
-    hit = next((v for v in _ball(v0, radius_bound, G) if _fixes_all(gs, v, G)), None)
-    return None if hit is None else (hit, hit.rep)
+    v = vertex_of(classes[0].witness, G)
+    for _ in range(min(radius_bound, max(len(g.prefix) for g in gs) // 2) + 1):
+        moved = next((c for c in (conjugated_by(g, v.rep, G) for g in gs) if c.prefix), None)
+        if moved is None:
+            return v, v.rep
+        v = vertex_of(multiply(v.rep, NormalForm(moved.prefix[:1], 0), G), G)
+    return None
 
 
 def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
@@ -183,7 +176,7 @@ def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
     everything ordered lexicographically by label."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    ball = set(_ball(center, radius, G))
+    ball = _ball(center, radius, G)
 
     labels = sorted(str(v) for v in ball)
     edges = []

@@ -90,6 +90,14 @@ def test_negative_parameters_after_equals_or_separator(capsys):
     assert invoke(capsys, "iso", "--", "-2,-3", "2,3")[:2] == (0, "true\n")
 
 
+def test_help_names_the_equals_form_and_the_radius(capsys):
+    code, out, _ = invoke(capsys, "-h")
+    assert code == 0 and "--group=-2,3" in "".join(out.split())
+    code, out, _ = invoke(capsys, "fixed", "-h")
+    words = " ".join(out.split())
+    assert code == 0 and "witness vertex" in words and "absent is proven" in words
+
+
 def test_exchange(capsys):
     code, out, _ = invoke(capsys, "--group", "2,3", "exchange", "1/3", "B")
     assert (code, out) == (0, "2/9 5/9 8/9\n")

@@ -200,6 +200,24 @@ def test_exchange_partners_agree_with_relation_predicate():
                 assert w.power(p.r) != mu.power(p.L)
 
 
+def test_exchange_partners_are_all_L_solutions():
+    # k = gcd(n, m) > 1 except in BS(2,3): Omega bounds the primes of k that
+    # divide neither n0 nor m0, yet no solution of u^L = w^r falls outside
+    rng = random.Random(44)
+    for n, m in ((2, 3), (4, 6), (6, 10), (6, -10), (6, 9), (12, 18)):
+        G = bs(n, m)
+        pool = enumerate_omega(G, 40)
+        for _ in range(15):
+            w = rng.choice(pool)
+            g = random_nf(rng, G, max_b=3, max_exp=10)
+            p = coset_profile(g, G)
+            partners = exchange_partners(w, g, G)
+            assert len(partners) == abs(p.L)
+            for mu in partners:
+                assert mu.power(p.L) == w.power(p.r)
+                assert omega_member(mu, G)
+
+
 def test_contragredient_dimension_swap():
     rng = random.Random(31)
     for _ in range(60):

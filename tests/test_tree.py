@@ -141,6 +141,29 @@ def test_common_fixed_vertex_instance_with_hyperbolic_product():
     assert common_fixed_vertex([g, h], G23, 4) is None
 
 
+def test_common_fixed_vertex_work_follows_the_walk(monkeypatch):
+    # one conjugation per element at each vertex of the walk, whatever the
+    # radius; a ball search makes thousands at radius 5
+    calls = 0
+    conjugate = conjugated_by
+
+    def counted(g, h, G):
+        nonlocal calls
+        calls += 1
+        return conjugate(g, h, G)
+
+    monkeypatch.setattr("bsrig.tree.conjugated_by", counted)
+    absent = ["a^6", "b a^5 b a^-3 b a^2 B a^3 B a^-5 B"]  # the tree_walk shape
+    deep = ["b a b a^6 B a^-1 B", "b a b a B a B a^6 b a^-1 b a^-1 B a^-1 B"]
+    for radius in (5, 40):
+        for words, expect in ((absent, None), (deep, "b a b a b^-1")):
+            gs = [word_nf(w, G23) for w in words]
+            calls = 0
+            found = common_fixed_vertex(gs, G23, radius)
+            assert (found and str(found[0])) == expect
+            assert 0 < calls <= (min(radius, max(len(g.prefix) for g in gs)) + 1) * len(gs)
+
+
 def test_elliptic_pairs_with_elliptic_product_share_a_vertex():
     rng = random.Random(26)
     checked = 0
@@ -157,22 +180,27 @@ def test_elliptic_pairs_with_elliptic_product_share_a_vertex():
         assert fixes_vertex(g, v, G23) and fixes_vertex(h, v, G23)
 
 
-def _ball_minimum(gs, G, radius):
-    """The least common fixed vertex within radius of the first element's
-    witness vertex, by an independent walk over the whole ball; or None."""
+def _ball_minima(gs, G, radius):
+    """For each r in 0..radius, the least common fixed vertex within r of the
+    first element's witness vertex, or None, by an independent walk over the
+    whole ball."""
     v0 = vertex_of(classify(gs[0], G).witness, G)
     frontier = [v0]
     seen = {v0}
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for w in vertex_neighbors(u, G):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    fixed = [u for u in seen if all(fixes_vertex(g, u, G) for g in gs)]
-    return min(fixed, key=lambda u: (len(u.rep.prefix), u.rep.prefix, u.rep.tail), default=None)
+    fixed = []
+    minima = []
+    for r in range(radius + 1):
+        if r:
+            nxt = []
+            for u in frontier:
+                for w in vertex_neighbors(u, G):
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        fixed += [u for u in frontier if all(fixes_vertex(g, u, G) for g in gs)]
+        minima.append(min(fixed, key=lambda u: (len(u.rep.prefix), u.rep.prefix, u.rep.tail), default=None))
+    return minima
 
 
 def _nontrivial_nf(rng, G):
@@ -190,7 +218,7 @@ def test_returned_vertex_is_ball_minimal():
         assert found is not None
         v, _ = found
         # no fixed vertex in the ball has a shorter representative
-        assert v == _ball_minimum([g], G23, 5)
+        assert v == _ball_minima([g], G23, 5)[5]
     # sets of deep elliptic elements u a^p u^-1 whose conjugators u extend
     # the first one's, so the least common fixed vertex is often not the
     # first element's witness vertex
@@ -204,11 +232,32 @@ def test_returned_vertex_is_ball_minimal():
                 p = rng.choice((-2, -1, 1, 2)) * G.n * G.m
                 gs.append(multiply(multiply(u, a_power(p), G), invert(u, G), G))
             found = common_fixed_vertex(gs, G, 5)
-            best = _ball_minimum(gs, G, 5)
+            best = _ball_minima(gs, G, 5)[5]
             assert found == (None if best is None else (best, best.rep))
             v0 = vertex_of(classify(gs[0], G).witness, G)
             off_witness += best is not None and best != v0
     assert off_witness >= 8
+    # every radius 1..5, also in groups with |n| = |m|, n < 0 and n = 1: pairs
+    # of independent elliptic elements, whose product is often hyperbolic,
+    # and nested deep triples as above
+    hyperbolic = beyond_radius_1 = 0
+    for G in (G23, bs(2, -3), bs(3, 4), bs(2, 2), bs(3, -3), bs(-2, 3), bs(1, 2)):
+        for nested in (False, True) * 2:
+            if nested:
+                c = _nontrivial_nf(rng, G)
+                us = [c] + [multiply(c, _nontrivial_nf(rng, G), G) for _ in range(2)]
+                gs = [multiply(multiply(u, a_power(G.n * G.m), G), invert(u, G), G) for u in us]
+            else:
+                gs = [random_elliptic(rng, G, max_conj_b=2) for _ in range(2)]
+            hyperbolic += any(
+                isinstance(classify(multiply(g, h, G), G), Hyperbolic) for g in gs for h in gs
+            )
+            minima = _ball_minima(gs, G, 5)
+            for radius in range(1, 6):
+                best = minima[radius]
+                assert common_fixed_vertex(gs, G, radius) == (None if best is None else (best, best.rep))
+            beyond_radius_1 += minima[1] is None and minima[5] is not None
+    assert hyperbolic >= 5 and beyond_radius_1 >= 3
 
 
 def test_vertex_neighbors_and_distance():
