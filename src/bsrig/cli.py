@@ -3,10 +3,10 @@
 One binary, subcommand style, declared once per subcommand in ``COMMANDS``:
 help, arguments, whether ``--group n,m`` is needed and a handler
 returning ``(payload, text)``.  Negative values are allowed: ``2,-3``;
-argparse reads an argument that starts with ``-`` as an option, so a
-negative n is attached with ``=`` (``--group=-2,3``) and a positional
-argument such as ``-2,-3`` or ``-1/3`` follows a ``--`` separator
-(``bsrig iso -- -2,-3 2,3``).
+argparse reads an argument that starts with ``-`` as an option, so
+``--group -2,3`` is joined into ``--group=-2,3`` before parsing, and a
+positional argument such as ``-2,-3`` or ``-1/3`` follows a ``--``
+separator (``bsrig iso -- -2,-3 2,3``).
 ``--format json`` emits exactly one JSON document on stdout, the payload;
 text mode prints the text, or the payload where there is none.  Exit
 codes: 0 success, 1 domain error or failed selftest, 2 usage error.
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -122,7 +124,10 @@ def _fuse_selfinv(a, G):
 
 def _exchange(a, G):
     w = _parse_root(a.root)
-    partners = sorted(fusion.exchange_partners(w, word_nf(a.word, G), G), key=lambda u: u.angle)
+    partners = fusion.exchange_partners(w, word_nf(a.word, G), G)
+    # by angle, as the integer numerators over the common denominator
+    common = math.lcm(*(u.den for u in partners))
+    partners = sorted(partners, key=lambda u: u.num * (common // u.den))
     return [str(u) for u in partners], " ".join(str(u) for u in partners)
 
 
@@ -274,10 +279,24 @@ def run(argv: list[str]) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+_PAIR = re.compile(r"-?\d+,-?\d+")
+
+
+def _attach_group(argv: list[str]) -> list[str]:
+    """``--group V`` as ``--group=V`` when V is a pair, before any ``--``,
+    so that argparse does not read a negative n such as ``-2,3`` as an
+    option."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    for i in range(end - 1):
+        if argv[i] == "--group" and _PAIR.fullmatch(argv[i + 1]):
+            return [*argv[:i], f"--group={argv[i + 1]}", *_attach_group(argv[i + 2 :])]
+    return argv
+
+
 def _dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_group(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -239,9 +239,20 @@ def exchange_partners(w: RootOfUnity, g: NormalForm, G: BsPresentation) -> set[R
     of L * angle(u) = r * angle(w) mod 1, all in Omega.  Omega bounds only
     the primes p of k prime to n0 m0, by v_p(k); L = 1 for g in <a>, and
     once g has a b-letter the residue pass keeps v_p(L) = v_p(k) <= v_p(r),
-    so w^r has order prime to p and v_p(order of u) <= v_p(L)."""
+    so w^r has order prime to p and v_p(order of u) <= v_p(L).
+
+    Each solution has angle x / D with D = den(w) |L|: there L * x / D =
+    sign(L) x / den(w), so the equation says sign(L) x = r num(w) mod
+    den(w).  The partners are x / D for the |L| residues x in [0, D) with
+    x = c mod den(w), c = sign(L) num(w) r mod den(w), each reduced by
+    one gcd."""
     if not omega_member(w, G):
         raise ValueError(f"{w} is not in Omega for {G}")
     p = coset_profile(g, G)
-    target = Fraction(w.num * p.r, w.den)
-    return {RootOfUnity.from_fraction((target + j) / p.L) for j in range(abs(p.L))}
+    D = w.den * p.l
+    c = (w.num * p.r if p.L > 0 else -w.num * p.r) % w.den
+    out = set()
+    for x in range(c, D, w.den):
+        q = gcd(x, D)
+        out.add(RootOfUnity(x // q, D // q))
+    return out

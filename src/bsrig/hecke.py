@@ -260,18 +260,25 @@ def hecke_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> Hecke
     is exact (Krieg, Hecke algebras, Mem. AMS 435).  The unit coset acts as
     identity, and the degree map T_D -> l(d) is multiplicative:
     sum_F c^F l(f_F) = l(d) l(e).
+
+    The double coset of d a^i e only depends on i mod g, g = gcd(l(d),
+    r(e)): d a^{i + L(d)} e = a^{r(d)} d a^i e with |L(d)| = l(d), and
+    d a^{i + r(e)} e = d a^i e a^{L(e)}.  So the count over i < l(d) is
+    l(d) / g times the count over i < g, and only g candidates are
+    canonicalised: one for d = b^16, e = a, all l(d) for e = d^-1.
     """
     acc: dict[DoubleCoset, int] = {}
     for D, cD in x.terms:
         d = D.representative
         for E, cE in y.terms:
             e = E.representative
+            period = gcd(D.profile.l, E.profile.r)
             hits = Counter(
                 double_coset(multiply(multiply(d, a_power(i), G), e, G), G)
-                for i in range(D.profile.l)
+                for i in range(period)
             )
             for F, count in hits.items():
-                c, rem = divmod(E.profile.l * count, F.profile.l)
+                c, rem = divmod(E.profile.l * count * (D.profile.l // period), F.profile.l)
                 if rem:
                     raise RuntimeError(
                         f"internal error: coefficient of {F} in {D} * {E} is not an integer"

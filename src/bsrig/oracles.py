@@ -11,12 +11,16 @@ The double coset oracle scans all r(g) left translates a^i g for the
 least tail-zeroed one, instead of choosing the representative digit by
 digit.  The convolution oracle counts Hecke coefficients from their
 definition, one scan canonicalisation per (candidate, right coset) pair.
+The exchange oracle solves L * angle(u) = r * angle(w) mod 1 in Fraction
+arithmetic, one division per solution, instead of listing integer residues.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
+from .fusion import RootOfUnity, omega_member
 from .hecke import DoubleCoset, HeckeElement, coset_profile
 from .words import (
     BsPresentation,
@@ -40,6 +44,7 @@ __all__ = [
     "oracle_profile",
     "scan_double_coset",
     "oracle_convolve",
+    "oracle_exchange_partners",
     "random_word",
     "random_nf",
     "with_inserted_relator",
@@ -190,6 +195,16 @@ def oracle_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> Heck
                 if count:
                     acc[F] = acc.get(F, 0) + cD * cE * count
     return HeckeElement.from_dict(acc)
+
+
+def oracle_exchange_partners(w: RootOfUnity, g: NormalForm, G: BsPresentation) -> set[RootOfUnity]:
+    """The |L(g)| solutions u of u^{L(g)} = w^{r(g)} as (r angle(w) + j) / L
+    mod 1 for 0 <= j < |L|, with the same ValueError for w outside Omega."""
+    if not omega_member(w, G):
+        raise ValueError(f"{w} is not in Omega for {G}")
+    p = coset_profile(g, G)
+    target = Fraction(w.num * p.r, w.den)
+    return {RootOfUnity.from_fraction((target + j) / p.L) for j in range(abs(p.L))}
 
 
 # ---------------------------------------------------------------------------

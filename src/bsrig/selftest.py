@@ -191,6 +191,14 @@ def _tree(rng: random.Random, s: Sizes) -> None:
         v, _ = found
         assert tree.fixes_vertex(g, v, G) and tree.fixes_vertex(h, v, G)
 
+    for _ in range(s.absent):
+        # a^6 and u a^2 u^-1, u = b a^x b a^y b, fix disjoint subtrees
+        x, y = rng.randint(-20, 20), rng.randint(-20, 20)
+        g = word_nf("a^6", G)
+        h = word_nf(f"b a^{x} b a^{y} b a^2 B a^{-y} B a^{-x} B", G)
+        assert isinstance(tree.classify(words.multiply(g, h, G), G), tree.Hyperbolic)
+        assert tree.common_fixed_vertex([g, h], G, 8) is None
+
     base = tree.base_vertex(G)
     assert len({base} | set(tree.vertex_neighbors(base, G))) == 1 + G.n + abs(G.m)
     dot = tree.export_ball(base, 1, G)
@@ -228,7 +236,7 @@ DESK = {
     _exchange: Sizes(pool_den=12, brute_den=72, samples=10, max_exp=8),
     _obstruction: Sizes(max_param=4),
     _isomorphism: Sizes(max_param=4),
-    _tree: Sizes(hyperbolic=10, max_b=3, max_exp=10, pairs=5),
+    _tree: Sizes(hyperbolic=10, max_b=3, max_exp=10, pairs=5, absent=5),
     _quasi_centralizer: Sizes(
         member_samples=60, max_exp=10, min_members=10, closure_samples=10, centralizer_samples=30
     ),
@@ -243,7 +251,9 @@ FULL = {
     _exchange: Sizes(seed=105, budget=10.0, pool_den=24, brute_den=216, samples=50, max_exp=10),
     _obstruction: Sizes(seed=106, budget=1.0, max_param=6),
     _isomorphism: Sizes(seed=107, budget=1.0, max_param=6),
-    _tree: Sizes(seed=108, budget=10.0, hyperbolic=100, max_b=4, max_exp=20, pairs=100),
+    _tree: Sizes(
+        seed=108, budget=10.0, hyperbolic=100, max_b=4, max_exp=20, pairs=100, absent=100
+    ),
     _quasi_centralizer: Sizes(
         seed=109, budget=5.0, member_samples=300, max_exp=20, min_members=20,
         closure_samples=100, centralizer_samples=100,

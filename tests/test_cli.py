@@ -2,8 +2,9 @@ import json
 import random
 
 from bsrig.cli import run
-from bsrig.oracles import random_word
-from bsrig.words import format_word
+from bsrig.fusion import RootOfUnity
+from bsrig.oracles import oracle_exchange_partners, random_word
+from bsrig.words import bs, format_word, word_nf
 
 
 def invoke(capsys, *argv):
@@ -90,6 +91,14 @@ def test_negative_parameters_after_equals_or_separator(capsys):
     assert invoke(capsys, "iso", "--", "-2,-3", "2,3")[:2] == (0, "true\n")
 
 
+def test_negative_group_as_a_separate_argument(capsys):
+    for argv in (("profile", "b"), ("coset", "b a^3"), ("reduce", "b a^2 B")):
+        spaced = invoke(capsys, "--group", "-2,3", *argv)
+        assert spaced == invoke(capsys, "--group=-2,3", *argv)
+        assert spaced[0] == 0 and spaced[2] == ""
+    assert invoke(capsys, "--group", "-2,-3", "profile", "b")[:2] == (0, '{"l":2,"r":3,"L":2}\n')
+
+
 def test_help_names_the_equals_form_and_the_radius(capsys):
     code, out, _ = invoke(capsys, "-h")
     assert code == 0 and "--group=-2,3" in "".join(out.split())
@@ -101,6 +110,17 @@ def test_help_names_the_equals_form_and_the_radius(capsys):
 def test_exchange(capsys):
     code, out, _ = invoke(capsys, "--group", "2,3", "exchange", "1/3", "B")
     assert (code, out) == (0, "2/9 5/9 8/9\n")
+
+
+def test_exchange_lists_partners_by_angle(capsys):
+    # the integer sort key orders exactly as the Fraction angles do
+    G = bs(2, 3)
+    for root, word in (("1/3", "b^8"), ("-1/3", "B^6")):
+        code, out, _ = invoke(capsys, "--group", "2,3", "exchange", "--", root, word)
+        p, q = map(int, root.split("/"))
+        partners = oracle_exchange_partners(RootOfUnity.of(p, q), word_nf(word, G), G)
+        want = " ".join(str(u) for u in sorted(partners, key=lambda u: u.angle))
+        assert (code, out) == (0, want + "\n")
 
 
 def test_tree_ball(capsys):

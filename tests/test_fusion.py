@@ -20,7 +20,7 @@ from bsrig import (
     omega_member,
     word_nf,
 )
-from bsrig.oracles import random_nf
+from bsrig.oracles import oracle_exchange_partners, random_nf
 
 G23 = bs(2, 3)
 
@@ -216,6 +216,24 @@ def test_exchange_partners_are_all_L_solutions():
             for mu in partners:
                 assert mu.power(p.L) == w.power(p.r)
                 assert omega_member(mu, G)
+
+
+def test_exchange_partners_match_fraction_oracle():
+    rng = random.Random(45)
+    signed = 0
+    for n, m in ((2, 3), (2, -3), (3, 4), (4, 6), (6, 10), (6, -10), (12, 18)):
+        G = bs(n, m)
+        pool = enumerate_omega(G, 36)
+        elements = [word_nf(text, G) for text in ("a", "b", "B", "b^2 a B")]
+        elements += [random_nf(rng, G, max_b=3, max_exp=10) for _ in range(12)]
+        for g in elements:
+            L = coset_profile(g, G).L
+            for w in (ONE, *rng.sample(pool, 3)):
+                assert exchange_partners(w, g, G) == oracle_exchange_partners(w, g, G)
+                signed += L < 0 and not w.is_one
+    assert signed >= 30
+    with pytest.raises(ValueError):
+        oracle_exchange_partners(RootOfUnity.of(1, 5), word_nf("b", G23), G23)
 
 
 def test_contragredient_dimension_swap():

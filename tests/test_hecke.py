@@ -16,6 +16,7 @@ from bsrig import (
     double_coset,
     f_set,
     f_set_member,
+    hecke,
     hecke_convolve,
     hecke_unit,
     invert,
@@ -338,6 +339,31 @@ def test_convolution_matches_definition_oracle():
                 for _ in range(2)
             })
             assert hecke_convolve(x, y, G) == oracle_convolve(x, y, G)
+    # gcd(l(d), r(e)) < l(d): the candidates repeat with a shorter period
+    for G in (bs(2, 3), bs(2, -3), bs(3, 4)):
+        for k in (2, 3):
+            d = double_coset(word_nf(f"b^{k}", G), G)
+            for text in ("a", "a^5", "b", "b a^2", "b^2 a", "b^2 a^3", "B"):
+                e = double_coset(word_nf(text, G), G)
+                x, y = HeckeElement.single(d), HeckeElement.single(e, rng.choice(coeffs))
+                assert hecke_convolve(x, y, G) == oracle_convolve(x, y, G)
+
+
+def test_convolution_work_follows_gcd(monkeypatch):
+    # only gcd(l(d), r(e)) candidates d a^i e are canonicalised
+    canonical = hecke.double_coset
+
+    def convolve_counting(u, v):
+        x, y = (HeckeElement.single(double_coset(word_nf(t, G23), G23)) for t in (u, v))
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(hecke, "double_coset", lambda g, G: calls.append(g) or canonical(g, G))
+            return hecke_convolve(x, y, G23), len(calls)
+
+    prod, calls = convolve_counting("b^16", "a")
+    assert calls == 1 and prod.as_json() == [{"coset": "b^16", "coeff": 1}]
+    prod, calls = convolve_counting("b^4", "B^4")
+    assert calls == 16 and prod.coeff(double_coset(IDENTITY, G23)) == 3**4
 
 
 def test_self_inverse_product_matches_decomposition():
