@@ -9,7 +9,11 @@ positional argument such as ``-2,-3`` or ``-1/3`` follows a ``--``
 separator (``bsrig iso -- -2,-3 2,3``).
 ``--format json`` emits exactly one JSON document on stdout, the payload;
 text mode prints the text, or the payload where there is none.  Exit
-codes: 0 success, 1 domain error or failed selftest, 2 usage error.
+codes: 0 success, 1 domain error or failed selftest, 2 usage error, 3
+internal error (a broken invariant: a bug, never bad input).  ``fixed``
+prints ``absent`` (JSON ``"proven": true``) only when the radius is large
+enough to prove that no common fixed vertex exists; below that radius
+(``"proven": false``) it names the radius that would prove absence.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import fusion, hecke, rigidity, selftest, tree, words
-from .words import BsPresentation, bs, format_word, word_nf
+from .words import BsPresentation, InternalError, bs, format_word, word_nf
 
 
 class _UsageError(Exception):
@@ -95,9 +99,14 @@ def _classify(a, G):
 
 
 def _fixed(a, G):
-    found = tree.common_fixed_vertex([word_nf(w, G) for w in a.words], G, a.radius)
+    gs = [word_nf(w, G) for w in a.words]
+    found = tree.common_fixed_vertex(gs, G, a.radius)
     if found is None:
-        return {"vertex": None}, "absent"
+        proof = tree.absence_radius(gs)
+        if a.radius >= proof:
+            return {"vertex": None, "proven": True}, "absent"
+        text = f"none within radius {a.radius}; --radius {proof} finds one or proves absence"
+        return {"vertex": None, "proven": False}, text
     v, g0 = found
     return {"vertex": str(v), "g0": format_word(g0)}, f"vertex={v} g0={format_word(g0)}"
 
@@ -309,6 +318,9 @@ def _dispatch(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"bsrig: {exc}\n")
         return 2
+    except InternalError as exc:
+        sys.stderr.write(f"bsrig: {exc}; this is a bug in bsrig, please report it\n")
+        return 3
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"bsrig: {exc}\n")
         return 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .words import BsPresentation, NormalForm, a_power, invert, multiply
+from .words import BsPresentation, InternalError, NormalForm, a_power, invert, multiply
 from .hecke import DoubleCoset, coset_profile, double_coset
 
 __all__ = [
@@ -34,11 +34,9 @@ __all__ = [
     "BimoduleSum",
     "omega_member",
     "enumerate_omega",
-    "char_of",
     "isomorphic",
     "decompose_self_inverse",
     "exchange_partners",
-    "char_product",
 ]
 
 
@@ -51,12 +49,12 @@ class RootOfUnity:
 
     @staticmethod
     def of(num: int, den: int) -> "RootOfUnity":
-        return RootOfUnity.from_fraction(Fraction(num, den))
-
-    @staticmethod
-    def from_fraction(angle: Fraction) -> "RootOfUnity":
-        angle %= 1
-        return RootOfUnity(angle.numerator, angle.denominator)
+        """exp(2 pi i num/den) reduced; ZeroDivisionError for den = 0."""
+        if den < 0:
+            num, den = -num, -den
+        num %= den
+        q = gcd(num, den)
+        return RootOfUnity(num // q, den // q)
 
     @property
     def angle(self) -> Fraction:
@@ -66,26 +64,14 @@ class RootOfUnity:
     def is_one(self) -> bool:
         return self.num == 0
 
-    @property
-    def order(self) -> int:
-        return self.den
-
     def power(self, z: int) -> "RootOfUnity":
-        return RootOfUnity.from_fraction(Fraction(self.num * z, self.den))
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity.from_fraction(-self.angle)
+        return RootOfUnity.of(self.num * z, self.den)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
 
 ONE = RootOfUnity(0, 1)
-
-
-def char_product(w: RootOfUnity, u: RootOfUnity) -> RootOfUnity:
-    """Composition of character twists: addition of angles mod 1."""
-    return RootOfUnity.from_fraction(w.angle + u.angle)
 
 
 def omega_member(w: RootOfUnity, G: BsPresentation) -> bool:
@@ -113,11 +99,6 @@ def enumerate_omega(G: BsPresentation, max_den: int) -> list[RootOfUnity]:
                 out.append(RootOfUnity(num, den))
     out.sort(key=lambda w: w.angle)
     return out
-
-
-def char_of(g: NormalForm, G: BsPresentation) -> RootOfUnity:
-    """The generating character attached to g: exp(2 pi i / r(g))."""
-    return RootOfUnity.of(1, coset_profile(g, G).r)
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,7 +211,7 @@ def decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
         terms.append(Irreducible.coset_module(D))
     out = BimoduleSum.of(terms)
     if out.left_dim != p.l * p.r or out.right_dim != p.l * p.r:
-        raise RuntimeError("internal error: dimension bookkeeping is inconsistent")
+        raise InternalError("internal error: dimension bookkeeping is inconsistent")
     return out
 
 

@@ -27,10 +27,9 @@ from math import gcd
 
 from .words import (
     BsPresentation,
-    GroupWord,
+    InternalError,
     NormalForm,
     a_power,
-    _scan,
     invert,
     multiply,
     nf_sort_key,
@@ -47,9 +46,7 @@ __all__ = [
     "same_double_coset",
     "qc_member",
     "centralizes",
-    "amalgam_embed",
     "hecke_convolve",
-    "hecke_unit",
 ]
 
 
@@ -84,7 +81,7 @@ def _least_translate(g: NormalForm, G: BsPresentation) -> tuple[tuple, int, Cose
     profile = CosetProfile(abs(S), R, S)
     # postcondition g a^L g^-1 = a^r, checked through the word problem
     if multiply(multiply(g, a_power(profile.L), G), invert(g, G), G) != a_power(profile.r):
-        raise RuntimeError(f"internal error: profile {profile} fails verification for {g}")
+        raise InternalError(f"internal error: profile {profile} fails verification for {g}")
     return tuple(prefix), i, profile
 
 
@@ -160,7 +157,7 @@ def double_coset(g: NormalForm, G: BsPresentation) -> DoubleCoset:
     prefix, i, profile = _least_translate(g, G)
     # postcondition: the translate a^i g has the chosen prefix
     if multiply(a_power(i), g, G).prefix != prefix:
-        raise RuntimeError(f"internal error: a^{i} {g} does not have prefix {prefix}")
+        raise InternalError(f"internal error: a^{i} {g} does not have prefix {prefix}")
     return DoubleCoset(NormalForm(prefix, 0), profile)
 
 
@@ -186,26 +183,6 @@ def centralizes(g: NormalForm, z: int, G: BsPresentation) -> bool:
     return multiply(multiply(g, a_power(z), G), invert(g, G), G) == a_power(z)
 
 
-def amalgam_embed(text: str, G: BsPresentation) -> GroupWord:
-    """Letterwise substitution c -> a, d -> b^-1 a b on a word over c, d.
-
-    The image generates the subgroup <a, b^-1 a b>, an amalgam of two copies
-    of Z glued along n Z and m Z; the substitution is injective on reduced
-    amalgam words.  Only available for 2 <= n <= |m| with |m| != 2, where
-    that amalgam description holds.
-    """
-    G.require_standard("amalgam embedding")
-    if abs(G.m) == 2:
-        raise ValueError("amalgam embedding needs |m| != 2")
-    items: list[tuple[str, int]] = []
-    for letter, exp in _scan(text, "cd"):
-        if letter == "c":
-            items.append(("a", exp))
-        else:
-            items.extend((("b", -1), ("a", exp), ("b", 1)))
-    return GroupWord.of(items)
-
-
 # ---------------------------------------------------------------------------
 # convolution on the double coset algebra
 
@@ -225,24 +202,8 @@ class HeckeElement:
     def single(D: DoubleCoset, coeff: int = 1) -> "HeckeElement":
         return HeckeElement.from_dict({D: coeff})
 
-    def coeff(self, D: DoubleCoset) -> int:
-        for e, c in self.terms:
-            if e == D:
-                return c
-        return 0
-
-    def add(self, other: "HeckeElement") -> "HeckeElement":
-        acc = {D: c for D, c in self.terms}
-        for D, c in other.terms:
-            acc[D] = acc.get(D, 0) + c
-        return HeckeElement.from_dict(acc)
-
     def as_json(self) -> list[dict]:
         return [{"coset": str(D), "coeff": c} for D, c in self.terms]
-
-
-def hecke_unit(G: BsPresentation) -> HeckeElement:
-    return HeckeElement.single(double_coset(NormalForm((), 0), G))
 
 
 def hecke_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> HeckeElement:
@@ -280,7 +241,7 @@ def hecke_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> Hecke
             for F, count in hits.items():
                 c, rem = divmod(E.profile.l * count * (D.profile.l // period), F.profile.l)
                 if rem:
-                    raise RuntimeError(
+                    raise InternalError(
                         f"internal error: coefficient of {F} in {D} * {E} is not an integer"
                     )
                 acc[F] = acc.get(F, 0) + cD * cE * c

@@ -52,11 +52,10 @@ __all__ = [
 ]
 
 
-def oracle_scan(text: str, names: str) -> list[tuple[str, int]]:
+def oracle_scan(text: str) -> list[tuple[str, int]]:
     """Tokenize ``letter power?`` terms character by character; the same
     tokens and the same WordSyntaxError (message and offset) as the parser."""
-    lo0, lo1 = names[0], names[1]
-    table = {lo0: (lo0, 1), lo0.upper(): (lo0, -1), lo1: (lo1, 1), lo1.upper(): (lo1, -1)}
+    table = {"a": ("a", 1), "A": ("a", -1), "b": ("b", 1), "B": ("b", -1)}
     out: list[tuple[str, int]] = []
     i = 0
     size = len(text)
@@ -204,7 +203,8 @@ def oracle_exchange_partners(w: RootOfUnity, g: NormalForm, G: BsPresentation) -
         raise ValueError(f"{w} is not in Omega for {G}")
     p = coset_profile(g, G)
     target = Fraction(w.num * p.r, w.den)
-    return {RootOfUnity.from_fraction((target + j) / p.L) for j in range(abs(p.L))}
+    angles = ((target + j) / p.L for j in range(abs(p.L)))
+    return {RootOfUnity.of(u.numerator, u.denominator) for u in angles}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .words import bs
+from .words import InternalError, bs
 from .fusion import ONE, RootOfUnity, omega_member
 
 __all__ = [
@@ -83,7 +83,7 @@ def canonicalize(n: int, m: int) -> tuple[int, int]:
     for cand in ((n, m), (-n, -m), (m, n), (-m, -n)):
         if 1 <= cand[0] <= abs(cand[1]):
             return cand
-    raise AssertionError("unreachable: some orientation is canonical")
+    raise InternalError(f"internal error: no orientation of ({n},{m}) is canonical")
 
 
 def is_isomorphic(n1: int, m1: int, n2: int, m2: int) -> bool:
@@ -133,15 +133,15 @@ def sign_witness(n: int, m: int) -> SignWitness:
     t = 1
     while base**t <= 2:
         t += 1
-    omega = RootOfUnity.from_fraction(Fraction(1, k * n0 ** (t + 1) * m0**t))
-    mu = RootOfUnity.from_fraction(Fraction(1, k * n0**t * m0 ** (t + 1)))
+    omega = RootOfUnity.of(1, k * n0 ** (t + 1) * m0**t)
+    mu = RootOfUnity.of(1, k * n0**t * m0 ** (t + 1))
     G = bs(n, m)
     if omega.power(n) != mu.power(m):
-        raise RuntimeError("internal error: witness relation omega^n = mu^m fails")
+        raise InternalError("internal error: witness relation omega^n = mu^m fails")
     if mu.power(2 * m) == ONE:
-        raise RuntimeError("internal error: witness has mu^(2m) = 1")
+        raise InternalError("internal error: witness has mu^(2m) = 1")
     if not (omega_member(omega, G) and omega_member(mu, G)):
-        raise RuntimeError("internal error: witness roots fall outside Omega")
+        raise InternalError("internal error: witness roots fall outside Omega")
     return SignWitness(t, omega, mu)
 
 

@@ -22,7 +22,6 @@ from .words import (
     BsPresentation,
     NormalForm,
     IDENTITY,
-    b_letter,
     conjugated_by,
     cyclically_reduce,
     format_word,
@@ -36,8 +35,6 @@ __all__ = [
     "Elliptic",
     "Hyperbolic",
     "vertex_of",
-    "edge_of",
-    "edge_source",
     "edge_range",
     "base_vertex",
     "vertex_neighbors",
@@ -69,20 +66,12 @@ def vertex_of(g: NormalForm, G: BsPresentation) -> TreeVertex:
     return TreeVertex(NormalForm(g.prefix, 0))
 
 
-def edge_of(g: NormalForm, G: BsPresentation) -> TreeEdge:
-    return TreeEdge(NormalForm(g.prefix, g.tail % abs(G.n)))
-
-
 def base_vertex(G: BsPresentation) -> TreeVertex:
     return TreeVertex(IDENTITY)
 
 
-def edge_source(e: TreeEdge, G: BsPresentation) -> TreeVertex:
-    return TreeVertex(NormalForm(e.rep.prefix, 0))
-
-
 def edge_range(e: TreeEdge, G: BsPresentation) -> TreeVertex:
-    return vertex_of(multiply(e.rep, b_letter(-1), G), G)
+    return vertex_of(multiply(e.rep, NormalForm(((0, -1),), 0), G), G)
 
 
 def fixes_vertex(g: NormalForm, v: TreeVertex, G: BsPresentation) -> bool:
@@ -133,6 +122,14 @@ def _ball(center: TreeVertex, radius: int, G: BsPresentation) -> set[TreeVertex]
     return ball
 
 
+def absence_radius(gs) -> int:
+    """max |g|_b // 2 over the elements gs: a common fixed vertex, if there
+    is one, lies within this distance of the first element's witness
+    vertex, so from this radius on common_fixed_vertex returning None
+    proves that there is none."""
+    return max(len(g.prefix) for g in gs) // 2
+
+
 def common_fixed_vertex(
     gs, G: BsPresentation, radius_bound: int
 ) -> tuple[TreeVertex, NormalForm] | None:
@@ -149,8 +146,8 @@ def common_fixed_vertex(
     from the base vertex into X runs through v0, the projection of the base
     vertex onto Fix(g1).  A nonempty X is nearest the base vertex at the
     farthest of its projections onto the Fix(g), at distance
-    max |g|_b / 2: the walk takes at most that many steps, and from that
-    radius on None proves absence.
+    max |g|_b / 2: the walk takes at most absence_radius(gs) steps, and
+    from that radius on None proves absence.
     """
     gs = list(gs)
     if not gs:
@@ -162,7 +159,7 @@ def common_fixed_vertex(
         if isinstance(c, Hyperbolic):
             raise ValueError(f"element {format_word(g)} is hyperbolic, it fixes no vertex")
     v = vertex_of(classes[0].witness, G)
-    for _ in range(min(radius_bound, max(len(g.prefix) for g in gs) // 2) + 1):
+    for _ in range(min(radius_bound, absence_radius(gs)) + 1):
         moved = next((c for c in (conjugated_by(g, v.rep, G) for g in gs) if c.prefix), None)
         if moved is None:
             return v, v.rep

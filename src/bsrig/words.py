@@ -38,7 +38,6 @@ __all__ = [
     "format_word",
     "normalize",
     "word_nf",
-    "is_identity",
     "multiply",
     "invert",
     "power",
@@ -47,12 +46,12 @@ __all__ = [
     "cyclically_reduce",
     "abelianization_image",
     "a_power",
-    "b_letter",
     "to_group_word",
-    "concat_words",
-    "inverse_word",
-    "nf_sort_key",
 ]
+
+
+class InternalError(RuntimeError):
+    """A broken internal invariant: a bug in bsrig, never bad input."""
 
 
 class WordSyntaxError(ValueError):
@@ -129,9 +128,6 @@ class GroupWord:
         return format_word(self)
 
 
-EMPTY_WORD = GroupWord(())
-
-
 @dataclass(frozen=True, slots=True)
 class NormalForm:
     """The right-pushed normal form: ``prefix`` holds the (s_i, e_i) pairs,
@@ -156,12 +152,6 @@ def a_power(z: int) -> NormalForm:
     return NormalForm((), z)
 
 
-def b_letter(e: int) -> NormalForm:
-    if e not in (1, -1):
-        raise ValueError("b_letter takes e in {+1, -1}")
-    return NormalForm(((0, e),), 0)
-
-
 # ---------------------------------------------------------------------------
 # parsing and printing
 
@@ -170,12 +160,12 @@ def b_letter(e: int) -> NormalForm:
 _TERM = re.compile(r"(\S)(?:(\^)(-?)([0-9]*))?")
 
 
-def _scan(text: str, names: str) -> list[tuple[str, int]]:
-    """Tokenize ``letter power?`` terms over the two letters in ``names``
-    (their uppercase forms denote inverses).  Raises WordSyntaxError with
-    the byte offset of the first bad character."""
-    lo0, lo1 = names[0], names[1]
-    table = {lo0: (lo0, 1), lo0.upper(): (lo0, -1), lo1: (lo1, 1), lo1.upper(): (lo1, -1)}
+_LETTERS = {"a": ("a", 1), "A": ("a", -1), "b": ("b", 1), "B": ("b", -1)}
+
+
+def _scan(text: str) -> list[tuple[str, int]]:
+    """Tokenize ``letter power?`` terms over a, b (A = a^-1, B = b^-1).
+    Raises WordSyntaxError with the byte offset of the first bad character."""
     out: list[tuple[str, int]] = []
     for term in _TERM.finditer(text):
         ch, caret, minus, digits = term.groups()
@@ -184,11 +174,11 @@ def _scan(text: str, names: str) -> list[tuple[str, int]]:
             if caret:
                 raise WordSyntaxError("'e' takes no exponent", term.start(2))
             continue
-        if ch not in table:
+        if ch not in _LETTERS:
             raise WordSyntaxError(f"unexpected character {ch!r}", term.start(1))
         if caret and not digits:
             raise WordSyntaxError("expected digits after '^'", term.start(4))
-        letter, sign = table[ch]
+        letter, sign = _LETTERS[ch]
         exp = int(digits) if caret else 1
         out.append((letter, -sign * exp if minus else sign * exp))
     return out
@@ -198,7 +188,7 @@ def parse_word(text: str) -> GroupWord:
     """Parse a word over a, b (A = a^-1, B = b^-1, optional ^exponents,
     optional whitespace between terms) into a freely merged GroupWord.
     Parsing never consults the group parameters."""
-    return GroupWord.of(_scan(text, "ab"))
+    return GroupWord.of(_scan(text))
 
 
 def _fmt_syllable(letter: str, exp: int) -> str:
@@ -309,10 +299,6 @@ def normalize(w: GroupWord, G: BsPresentation) -> NormalForm:
 def word_nf(text: str, G: BsPresentation) -> NormalForm:
     """Parse and normalize in one step."""
     return normalize(parse_word(text), G)
-
-
-def is_identity(w: GroupWord, G: BsPresentation) -> bool:
-    return normalize(w, G) == IDENTITY
 
 
 def multiply(u: NormalForm, v: NormalForm, G: BsPresentation) -> NormalForm:

@@ -1,6 +1,7 @@
 import json
 import random
 
+from bsrig import hecke
 from bsrig.cli import run
 from bsrig.fusion import RootOfUnity
 from bsrig.oracles import oracle_exchange_partners, random_word
@@ -99,6 +100,26 @@ def test_negative_group_as_a_separate_argument(capsys):
     assert invoke(capsys, "--group", "-2,-3", "profile", "b")[:2] == (0, '{"l":2,"r":3,"L":2}\n')
 
 
+def test_fixed_says_whether_absence_is_proven(capsys):
+    # the common fixed vertex b a b a b^-1 lies at distance 2 from the first
+    # word's witness vertex; radius 3 = max b-length // 2 proves absence
+    pair = ("b a b a^6 B a^-1 B", "b a b a B a B a^6 b a^-1 b a^-1 B a^-1 B")
+    code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", "1")
+    assert code == 0 and out != "absent\n" and "--radius 3" in out
+    code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", "1", "--format", "json")
+    assert (code, json.loads(out)) == (0, {"vertex": None, "proven": False})
+    code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", "2")
+    assert (code, out) == (0, "vertex=b a b a b^-1 g0=b a b a b^-1\n")
+    # a^2 and b a^3 B fix disjoint subtrees: radius 1 already proves it
+    for radius in ("1", "5"):
+        code, out, _ = invoke(capsys, "--group", "2,3", "fixed", "a^2", "b a^3 B", "--radius", radius)
+        assert (code, out) == (0, "absent\n")
+        code, out, _ = invoke(
+            capsys, "--group", "2,3", "fixed", "a^2", "b a^3 B", "--radius", radius, "--format", "json"
+        )
+        assert (code, json.loads(out)) == (0, {"vertex": None, "proven": True})
+
+
 def test_help_names_the_equals_form_and_the_radius(capsys):
     code, out, _ = invoke(capsys, "-h")
     assert code == 0 and "--group=-2,3" in "".join(out.split())
@@ -190,28 +211,33 @@ def test_reduce_round_trip(capsys):
         assert out == out2
 
 
-def test_exit_codes(capsys):
-    # domain error: malformed word
-    code, out, err = invoke(capsys, "--group", "2,3", "reduce", "a^2 q")
-    assert code == 1 and out == "" and "offset" in err
-    # domain error: hyperbolic element in fixed
-    code, _, err = invoke(capsys, "--group", "2,3", "fixed", "b")
-    assert code == 1 and "hyperbolic" in err
-    # domain error: witness needs n != |m|
-    code, _, err = invoke(capsys, "witness", "2,2")
-    assert code == 1
-    # usage error: missing group
-    code, _, err = invoke(capsys, "reduce", "b")
-    assert code == 2 and "usage" in err
-    # usage error: malformed group
-    code, _, err = invoke(capsys, "--group", "2,0", "reduce", "b")
-    assert code == 2
-    # usage error: unknown flag
-    code, _, err = invoke(capsys, "--group", "2,3", "reduce", "b", "--bogus")
-    assert code == 2
-    # usage error: unknown subcommand
-    code, _, err = invoke(capsys, "frobnicate")
-    assert code == 2
+EXIT_CODES = [
+    # (exit code, argv, text on stderr); stdout is empty unless the code is 0
+    (0, ["--group", "2,3", "profile", "b"], ""),
+    # domain errors: a malformed word, a hyperbolic element in fixed, a
+    # witness for n = |m|
+    (1, ["--group", "2,3", "reduce", "a^2 q"], "offset"),
+    (1, ["--group", "2,3", "fixed", "b"], "hyperbolic"),
+    (1, ["witness", "2,2"], ""),
+    # usage errors: a missing or malformed group, an unknown flag or subcommand
+    (2, ["reduce", "b"], "usage"),
+    (2, ["--group", "2,0", "reduce", "b"], ""),
+    (2, ["--group", "2,3", "reduce", "b", "--bogus"], ""),
+    (2, ["frobnicate"], ""),
+    # an internal error: the profile postcondition g a^L g^-1 = a^r fails
+    (3, ["--group", "2,3", "profile", "b"], "bug"),
+]
+
+
+def test_exit_codes(capsys, monkeypatch):
+    for code, argv, err_part in EXIT_CODES:
+        with monkeypatch.context() as patch:
+            if code == 3:
+                # a wrong inverse breaks the postcondition, whatever the input
+                patch.setattr(hecke, "invert", lambda g, G: g)
+            got, out, err = invoke(capsys, *argv)
+        assert got == code and err_part in err, argv
+        assert (out != "" and err == "") if code == 0 else out == "", argv
 
 
 def test_selftest_deterministic(capsys):

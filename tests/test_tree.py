@@ -14,9 +14,7 @@ from bsrig import (
     classify,
     common_fixed_vertex,
     conjugated_by,
-    edge_of,
     edge_range,
-    edge_source,
     export_ball,
     fixes_vertex,
     invert,
@@ -30,6 +28,16 @@ from bsrig import (
 from bsrig.oracles import random_elliptic, random_nf
 
 G23 = bs(2, 3)
+
+
+def edge_of(g, G):
+    """The positive edge g<a^n>: the tail reduced into [0, |n|)."""
+    return TreeEdge(NormalForm(g.prefix, g.tail % abs(G.n)))
+
+
+def edge_source(e, G):
+    """source(g<a^n>) = g<a>."""
+    return vertex_of(e.rep, G)
 
 
 def test_source_and_range_of_base_edge():
