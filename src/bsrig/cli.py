@@ -25,7 +25,7 @@ import re
 import sys
 from typing import Callable, NamedTuple
 
-from . import fusion, hecke, rigidity, selftest, tree, words
+from . import fusion, hecke, rigidity, selftest, tree
 from .words import BsPresentation, InternalError, bs, format_word, word_nf
 
 
@@ -80,7 +80,7 @@ def _eq(a, G):
 
 
 def _blength(a, G):
-    return _scalar("b_length", words.b_length(words.parse_word(a.word), G))
+    return _scalar("b_length", word_nf(a.word, G).b_length)
 
 
 def _profile(a, G):

@@ -18,6 +18,7 @@ arithmetic, one division per solution, instead of listing integer residues.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 from .fusion import RootOfUnity, omega_member
@@ -85,7 +86,12 @@ def oracle_scan(text: str) -> list[tuple[str, int]]:
                 j += 1
             if j == i:
                 raise WordSyntaxError("expected digits after '^'", i)
-            exp = int(text[i:j])
+            try:
+                exp = int(text[i:j])
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                message = f"exponent over the interpreter's {limit}-digit limit"
+                raise WordSyntaxError(message, i) from None
             if neg:
                 exp = -exp
             i = j

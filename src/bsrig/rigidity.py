@@ -88,9 +88,7 @@ def canonicalize(n: int, m: int) -> tuple[int, int]:
 
 def is_isomorphic(n1: int, m1: int, n2: int, m2: int) -> bool:
     """{n1, m1} = {eps n2, eps m2} as multisets for some eps in {1, -1}."""
-    _require_nonzero(n1, m1, n2, m2)
-    mine = sorted((n1, m1))
-    return mine == sorted((n2, m2)) or mine == sorted((-n2, -m2))
+    return canonicalize(n1, m1) == canonicalize(n2, m2)
 
 
 def is_amenable(n: int, m: int) -> bool:

@@ -4,9 +4,10 @@ Vertices are cosets g<a>, positive edges are cosets g<a^n>, with
 source(g<a^n>) = g<a> and range(g<a^n>) = g b^-1 <a>.  The group acts by
 left multiplication; the tree is (|n| + |m|)-regular.  The right-pushed
 normal form makes cosets canonical: a vertex is the normal form with tail
-zeroed, an edge the normal form with tail reduced into [0, |n|).  The
-vertex rep spells the geodesic from the base vertex <a>, so the b-length
-of the rep is the distance to the base vertex.
+zeroed, an edge the NormalForm with tail reduced into [0, |n|).  The
+vertex rep spells the geodesic from the base vertex <a>, so its b-length
+is the distance to the base vertex, and adjacent vertices differ by one
+letter a^s b^e at the end of the longer rep: no multiplication needed.
 
 An element is elliptic iff its cyclically reduced core is an a-power;
 otherwise it is hyperbolic and translates along an axis by the cyclically
@@ -31,11 +32,9 @@ from .words import (
 
 __all__ = [
     "TreeVertex",
-    "TreeEdge",
     "Elliptic",
     "Hyperbolic",
     "vertex_of",
-    "edge_range",
     "base_vertex",
     "vertex_neighbors",
     "vertex_distance",
@@ -54,14 +53,6 @@ class TreeVertex:
         return format_word(self.rep)
 
 
-@dataclass(frozen=True, slots=True)
-class TreeEdge:
-    rep: NormalForm  # tail in [0, |n|)
-
-    def __str__(self) -> str:
-        return format_word(self.rep)
-
-
 def vertex_of(g: NormalForm, G: BsPresentation) -> TreeVertex:
     return TreeVertex(NormalForm(g.prefix, 0))
 
@@ -70,24 +61,26 @@ def base_vertex(G: BsPresentation) -> TreeVertex:
     return TreeVertex(IDENTITY)
 
 
-def edge_range(e: TreeEdge, G: BsPresentation) -> TreeVertex:
-    return vertex_of(multiply(e.rep, NormalForm(((0, -1),), 0), G), G)
-
-
 def fixes_vertex(g: NormalForm, v: TreeVertex, G: BsPresentation) -> bool:
     """g fixes the vertex h<a> iff h^-1 g h lies in <a>."""
     return not conjugated_by(g, v.rep, G).prefix
 
 
+def _neighbor(v: TreeVertex, s: int, e: int) -> TreeVertex:
+    """The vertex v a^s b^e <a>, for s in the normal-form range of e: v's rep
+    with (s, e) appended, unless that is the one pinch the normal form
+    allows (s = 0 after b^-e), where it is v's parent."""
+    prefix = v.rep.prefix
+    if s == 0 and prefix and prefix[-1][1] == -e:
+        return TreeVertex(NormalForm(prefix[:-1], 0))
+    return TreeVertex(NormalForm(prefix + ((s, e),), 0))
+
+
 def vertex_neighbors(v: TreeVertex, G: BsPresentation) -> list[TreeVertex]:
     """The |n| + |m| adjacent vertices: ranges of the edges v a^i <a^n> and
     sources of the edges v a^j b <a^n>."""
-    out = []
-    for i in range(abs(G.n)):
-        out.append(vertex_of(multiply(v.rep, NormalForm(((i, -1),), 0), G), G))
-    for j in range(abs(G.m)):
-        out.append(vertex_of(multiply(v.rep, NormalForm(((j, 1),), 0), G), G))
-    return out
+    steps = [(i, -1) for i in range(abs(G.n))] + [(j, 1) for j in range(abs(G.m))]
+    return [_neighbor(v, s, e) for s, e in steps]
 
 
 def vertex_distance(u: TreeVertex, v: TreeVertex, G: BsPresentation) -> int:
@@ -110,16 +103,6 @@ def classify(g: NormalForm, G: BsPresentation) -> Elliptic | Hyperbolic:
     if core.prefix:
         return Hyperbolic(len(core.prefix))
     return Elliptic(conj)
-
-
-def _ball(center: TreeVertex, radius: int, G: BsPresentation) -> set[TreeVertex]:
-    """The vertices within distance radius of center."""
-    ball = {center}
-    sphere = [center]
-    for _ in range(radius):
-        sphere = [w for v in sphere for w in vertex_neighbors(v, G) if w not in ball]
-        ball.update(sphere)
-    return ball
 
 
 def absence_radius(gs) -> int:
@@ -163,7 +146,7 @@ def common_fixed_vertex(
         moved = next((c for c in (conjugated_by(g, v.rep, G) for g in gs) if c.prefix), None)
         if moved is None:
             return v, v.rep
-        v = vertex_of(multiply(v.rep, NormalForm(moved.prefix[:1], 0), G), G)
+        v = _neighbor(v, *moved.prefix[0])
     return None
 
 
@@ -173,20 +156,26 @@ def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
     everything ordered lexicographically by label."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    ball = _ball(center, radius, G)
-
-    labels = sorted(str(v) for v in ball)
+    labels = {center: str(center)}
     edges = []
-    for v in ball:
-        for i in range(abs(G.n)):
-            e = TreeEdge(NormalForm(v.rep.prefix, i))
-            rg = edge_range(e, G)
-            if rg in ball:
-                edges.append((str(v), str(rg), str(e)))
+    sphere = [center]
+    for _ in range(radius):
+        pairs = [(u, w) for u in sphere for w in vertex_neighbors(u, G) if w not in labels]
+        sphere = [w for _, w in pairs]
+        labels.update((w, str(w)) for w in sphere)
+        for u, w in pairs:
+            # the child c is the end with the longer rep, one letter a^s b^e past its parent p
+            c, p = (w, u) if len(w.rep.prefix) > len(u.rep.prefix) else (u, w)
+            s, e = c.rep.prefix[-1]
+            if e == 1:  # c b^-1 <a> = p: the edge c<a^n> runs from c to p
+                edges.append((labels[c], labels[p], labels[c]))
+            else:  # c = p a^s b^-1 <a>: the range of the edge p a^s <a^n>
+                label = format_word(NormalForm(p.rep.prefix, s)) if s else labels[p]
+                edges.append((labels[p], labels[c], label))
     edges.sort()
 
     lines = ["digraph bass_serre_ball {"]
-    for label in labels:
+    for label in sorted(labels.values()):
         lines.append(f'  "{label}";')
     for src, dst, lab in edges:
         lines.append(f'  "{src}" -> "{dst}" [label="{lab}"];')

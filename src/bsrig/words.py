@@ -24,6 +24,7 @@ would overflow silently.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -42,7 +43,6 @@ __all__ = [
     "invert",
     "power",
     "conjugated_by",
-    "b_length",
     "cyclically_reduce",
     "abelianization_image",
     "a_power",
@@ -179,7 +179,12 @@ def _scan(text: str) -> list[tuple[str, int]]:
         if caret and not digits:
             raise WordSyntaxError("expected digits after '^'", term.start(4))
         letter, sign = _LETTERS[ch]
-        exp = int(digits) if caret else 1
+        try:
+            exp = int(digits) if caret else 1
+        except ValueError:  # only the interpreter's int-string limit rejects digits
+            limit = sys.get_int_max_str_digits()
+            message = f"exponent over the interpreter's {limit}-digit limit"
+            raise WordSyntaxError(message, term.start(4)) from None
         out.append((letter, -sign * exp if minus else sign * exp))
     return out
 
@@ -334,11 +339,6 @@ def power(u: NormalForm, z: int, G: BsPresentation) -> NormalForm:
 def conjugated_by(g: NormalForm, h: NormalForm, G: BsPresentation) -> NormalForm:
     """h^-1 g h."""
     return multiply(multiply(invert(h, G), g, G), h, G)
-
-
-def b_length(w: GroupWord, G: BsPresentation) -> int:
-    """Total number of b-letters in any reduced expression of w."""
-    return len(normalize(w, G).prefix)
 
 
 def cyclically_reduce(g: NormalForm, G: BsPresentation) -> tuple[NormalForm, NormalForm]:

@@ -1,5 +1,8 @@
 import json
 import random
+import sys
+
+import pytest
 
 from bsrig import hecke
 from bsrig.cli import run
@@ -209,6 +212,14 @@ def test_reduce_round_trip(capsys):
         _, out, _ = invoke(capsys, "--group", "2,3", "reduce", word)
         _, out2, _ = invoke(capsys, "--group", "2,3", "reduce", out.strip())
         assert out == out2
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")
+def test_exponent_past_the_digit_limit_is_exact(capsys):
+    # run lifts the interpreter's limit on int <-> str conversion, which a
+    # 5000-digit exponent exceeds outside it
+    word = "a^" + "9" * 5000
+    assert invoke(capsys, "--group", "2,3", "reduce", word) == (0, word + "\n", "")
 
 
 EXIT_CODES = [

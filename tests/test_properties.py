@@ -1,6 +1,6 @@
 """Property-based tests on arbitrary input: exact roots of unity, the word
-parser, and the command line.  Hypothesis is not a declared dependency,
-so the module is skipped where it is not installed."""
+parser, and the command line.  Hypothesis comes with the ``test`` extra;
+the module is skipped where it is not installed."""
 
 import contextlib
 import io
@@ -55,6 +55,7 @@ WORD_TEXT = st.text(alphabet="aAbBe^- 0123456789\t", max_size=24)
 @example("a^")
 @example("e^2")
 @example("b a^-12 B e A^3")
+@example("a^" + "9" * 5000)  # past the interpreter's int-string limit
 def test_parse_word_round_trips_or_raises_a_syntax_error(text):
     try:
         w = parse_word(text)

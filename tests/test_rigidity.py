@@ -55,12 +55,15 @@ def test_is_isomorphic_examples():
 
 
 def test_is_isomorphic_matches_canonical_forms():
+    # is_isomorphic compares canonical forms; the multiset criterion
+    # {n1, m1} = {eps n2, eps m2} is the independent check
     for n1 in NONZERO:
         for m1 in NONZERO:
-            c1 = canonicalize(n1, m1)
+            mine = sorted((n1, m1))
             for n2 in NONZERO:
                 for m2 in NONZERO:
-                    assert is_isomorphic(n1, m1, n2, m2) == (c1 == canonicalize(n2, m2))
+                    multiset = mine == sorted((n2, m2)) or mine == sorted((-n2, -m2))
+                    assert is_isomorphic(n1, m1, n2, m2) == multiset
 
 
 def test_is_isomorphic_is_an_equivalence():

@@ -7,16 +7,15 @@ from bsrig import (
     Hyperbolic,
     IDENTITY,
     NormalForm,
-    TreeEdge,
     a_power,
     base_vertex,
     bs,
     classify,
     common_fixed_vertex,
     conjugated_by,
-    edge_range,
     export_ball,
     fixes_vertex,
+    format_word,
     invert,
     multiply,
     power,
@@ -31,13 +30,18 @@ G23 = bs(2, 3)
 
 
 def edge_of(g, G):
-    """The positive edge g<a^n>: the tail reduced into [0, |n|)."""
-    return TreeEdge(NormalForm(g.prefix, g.tail % abs(G.n)))
+    """The positive edge g<a^n>: the NormalForm with tail reduced into [0, |n|)."""
+    return NormalForm(g.prefix, g.tail % abs(G.n))
 
 
 def edge_source(e, G):
     """source(g<a^n>) = g<a>."""
-    return vertex_of(e.rep, G)
+    return vertex_of(e, G)
+
+
+def edge_range(e, G):
+    """range(g<a^n>) = g b^-1 <a>."""
+    return vertex_of(multiply(e, NormalForm(((0, -1),), 0), G), G)
 
 
 def test_source_and_range_of_base_edge():
@@ -316,5 +320,70 @@ def test_export_ball_handshake():
 
 
 def test_edge_type_roundtrip():
-    e = TreeEdge(NormalForm(((0, 1),), 1))
+    e = NormalForm(((0, 1),), 1)
+    assert edge_of(e, G23) == e
     assert edge_source(e, G23).rep == NormalForm(((0, 1),), 0)
+
+
+# groups with n, m of either sign, |n| = |m|, |n| = 1 and |n| > |m|
+DIFFERENTIAL_GROUPS = [
+    bs(2, 3), bs(2, -3), bs(3, 4), bs(2, 2), bs(-2, 3),
+    bs(3, -3), bs(1, 2), bs(1, -1), bs(2, -4), bs(3, 2),
+]
+
+
+def _multiplied_neighbors(v, G):
+    """vertex_neighbors by group multiplication: v a^i b^-1 <a> for i < |n|,
+    then v a^j b <a> for j < |m|."""
+    steps = [(i, -1) for i in range(abs(G.n))] + [(j, 1) for j in range(abs(G.m))]
+    return [vertex_of(multiply(v.rep, NormalForm((step,), 0), G), G) for step in steps]
+
+
+def _reference_ball(center, radius, G):
+    """export_ball by the construction the rep-reading walk replaced: the
+    whole ball from multiplied neighbours, then each vertex v's |n| edges
+    v a^i <a^n>, kept where their range lies in the ball."""
+    ball = {center}
+    sphere = [center]
+    for _ in range(radius):
+        sphere = [w for v in sphere for w in _multiplied_neighbors(v, G) if w not in ball]
+        ball.update(sphere)
+    edges = []
+    for v in ball:
+        for i in range(abs(G.n)):
+            e = edge_of(NormalForm(v.rep.prefix, i), G)
+            if edge_range(e, G) in ball:
+                edges.append((str(edge_source(e, G)), str(edge_range(e, G)), format_word(e)))
+    lines = ["digraph bass_serre_ball {"]
+    lines += [f'  "{label}";' for label in sorted(str(v) for v in ball)]
+    lines += [f'  "{src}" -> "{dst}" [label="{lab}"];' for src, dst, lab in sorted(edges)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _random_vertex(rng, G, b_length):
+    """A vertex at distance b_length from the base vertex, by a random walk
+    that never steps back."""
+    v = base_vertex(G)
+    for _ in range(b_length):
+        v = rng.choice([w for w in _multiplied_neighbors(v, G) if w.rep.b_length > v.rep.b_length])
+    return v
+
+
+def test_vertex_neighbors_match_multiplication():
+    # 600 vertices, neighbour order included
+    rng = random.Random(28)
+    for G in DIFFERENTIAL_GROUPS:
+        for _ in range(60):
+            v = _random_vertex(rng, G, rng.randint(0, 5))
+            assert vertex_neighbors(v, G) == _multiplied_neighbors(v, G), (G, v)
+
+
+def test_export_ball_matches_multiplied_reference():
+    # 320 (group, centre, radius) cases, compared byte for byte
+    rng = random.Random(29)
+    for G in DIFFERENTIAL_GROUPS:
+        for center in [_random_vertex(rng, G, b) for b in (0, 1, 2, 3, 4, 4, 3, 2)]:
+            for radius in range(4):
+                dot = export_ball(center, radius, G)
+                assert dot == _reference_ball(center, radius, G), (G, center, radius)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -8,7 +9,6 @@ from bsrig import (
     NormalForm,
     WordSyntaxError,
     abelianization_image,
-    b_length,
     bs,
     cyclically_reduce,
     format_word,
@@ -64,6 +64,17 @@ def test_parse_errors_carry_offset():
     with pytest.raises(WordSyntaxError) as err:
         parse_word("b a^- 3")
     assert err.value.offset == 5
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")
+def test_exponent_past_the_digit_limit_is_a_syntax_error():
+    # outside cli.run the interpreter refuses to convert that many digits;
+    # both tokenizers report it as bad input, at the digits
+    text = "b a^-" + "9" * 5000
+    with pytest.raises(WordSyntaxError, match=r"interpreter's \d+-digit limit") as err:
+        parse_word(text)
+    assert err.value.offset == 5
+    assert _tokens_or_error(_scan, text) == _tokens_or_error(oracle_scan, text)
 
 
 def _tokens_or_error(scan, text):
@@ -178,9 +189,9 @@ def test_power():
 
 
 def test_b_length_examples():
-    assert b_length(parse_word("b a b^-1"), G23) == 2
-    assert b_length(parse_word("b a^2 b^-1"), G23) == 0
-    assert b_length(parse_word("b^3 a b^-1"), G23) == 4
+    assert word_nf("b a b^-1", G23).b_length == 2
+    assert word_nf("b a^2 b^-1", G23).b_length == 0
+    assert word_nf("b^3 a b^-1", G23).b_length == 4
 
 
 def test_word_problem_against_pinch_oracle():
