@@ -181,6 +181,8 @@ def _tree(rng: random.Random, s: Sizes) -> None:
     while pairs_seen < s.pairs:
         g = oracles.random_elliptic(rng, G, max_conj_b=2, deep=True)
         h = oracles.random_elliptic(rng, G, max_conj_b=2, deep=True)
+        for x in (g, h):  # each fixes its own witness vertex
+            assert tree.fixes_vertex(x, tree.vertex_of(tree.classify(x, G).witness, G), G)
         if not isinstance(tree.classify(words.multiply(g, h, G), G), tree.Elliptic):
             # a hyperbolic product certifies that no common fixed vertex exists
             assert tree.common_fixed_vertex([g, h], G, 8) is None

@@ -5,9 +5,9 @@ source(g<a^n>) = g<a> and range(g<a^n>) = g b^-1 <a>.  The group acts by
 left multiplication; the tree is (|n| + |m|)-regular.  The right-pushed
 normal form makes cosets canonical: a vertex is the normal form with tail
 zeroed, an edge the NormalForm with tail reduced into [0, |n|).  The
-vertex rep spells the geodesic from the base vertex <a>, so its b-length
-is the distance to the base vertex, and adjacent vertices differ by one
-letter a^s b^e at the end of the longer rep: no multiplication needed.
+vertex rep spells the geodesic from the base vertex <a>, so adjacent
+vertices differ by one letter a^s b^e at the end of the longer rep, and
+geodesics part where reps do: no multiplication needed.
 
 An element is elliptic iff its cyclically reduced core is an a-power;
 otherwise it is hyperbolic and translates along an axis by the cyclically
@@ -26,8 +26,6 @@ from .words import (
     conjugated_by,
     cyclically_reduce,
     format_word,
-    invert,
-    multiply,
 )
 
 __all__ = [
@@ -84,8 +82,10 @@ def vertex_neighbors(v: TreeVertex, G: BsPresentation) -> list[TreeVertex]:
 
 
 def vertex_distance(u: TreeVertex, v: TreeVertex, G: BsPresentation) -> int:
-    """Tree distance, read off as the b-length of u^-1 v."""
-    return len(multiply(invert(u.rep, G), v.rep, G).prefix)
+    """Tree distance: |u| + |v| - 2 (length of the reps' common prefix)."""
+    p, q = u.rep.prefix, v.rep.prefix
+    common = next((i for i, (x, y) in enumerate(zip(p, q)) if x != y), min(len(p), len(q)))
+    return len(p) + len(q) - 2 * common
 
 
 @dataclass(frozen=True, slots=True)

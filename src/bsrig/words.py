@@ -347,25 +347,23 @@ def cyclically_reduce(g: NormalForm, G: BsPresentation) -> tuple[NormalForm, Nor
 
     With the normal form constraints an interior pinch is impossible, so the
     only candidate is the wrap-around one: the last letter b^{e_k}, the
-    cyclic a-power tail + s_1, and the first letter b^{e_1}.  A rotation is
-    performed only when that pinch is verified (e_k = -e_1 and tail + s_1
-    divisible by |m| or |n| according to e_1), so each rotation shortens the
-    b-length by at least two and the loop terminates.
+    cyclic a-power tail + s_1, and the first letter b^{e_1}.  A rotation,
+    made only when that pinch is verified (e_k = -e_1 and c | tail + s_1,
+    c = m for e_1 = 1, c = n for e_1 = -1), drops exactly those two letters
+    and folds the pinched power into the tail: the conjugator is g's leading
+    letters and the core its middle, sliced off with no multiplication.
     """
-    conj = IDENTITY
-    core = g
-    while core.prefix:
-        s1, e1 = core.prefix[0]
-        _, ek = core.prefix[-1]
-        if ek != -e1:
+    prefix, tail = g.prefix, g.tail
+    i, j = 0, len(prefix)
+    while i < j:
+        s, e = prefix[i]
+        c, d = (G.m, G.n) if e == 1 else (G.n, G.m)
+        if prefix[j - 1][1] != -e or (tail + s) % c:
             break
-        c = abs(G.m) if e1 == 1 else abs(G.n)
-        if (core.tail + s1) % c != 0:
-            break
-        w = NormalForm(((s1, e1),), 0)
-        conj = multiply(conj, w, G)
-        core = multiply(multiply(invert(w, G), core, G), w, G)
-    return conj, core
+        # b^-e a^{tail + s} b^e = a^{(tail + s) / c * d}
+        tail = prefix[j - 1][0] + (tail + s) // c * d
+        i, j = i + 1, j - 1
+    return NormalForm(prefix[:i], 0), NormalForm(prefix[i:j], tail)
 
 
 def abelianization_image(w: GroupWord, G: BsPresentation) -> tuple[int, int]:

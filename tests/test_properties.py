@@ -1,6 +1,8 @@
 """Property-based tests on arbitrary input: exact roots of unity, the word
-parser, and the command line.  Hypothesis comes with the ``test`` extra;
-the module is skipped where it is not installed."""
+parser, the command line, Hecke convolution and exchange partners against
+their definition oracles, and cyclic reduction against its contract.
+Hypothesis comes with the ``test`` extra; the module is skipped where it
+is not installed."""
 
 import contextlib
 import io
@@ -11,8 +13,26 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from bsrig import RootOfUnity, WordSyntaxError, format_word, parse_word  # noqa: E402
+from bsrig import (  # noqa: E402
+    GroupWord,
+    HeckeElement,
+    RootOfUnity,
+    WordSyntaxError,
+    bs,
+    conjugated_by,
+    cyclically_reduce,
+    double_coset,
+    enumerate_omega,
+    exchange_partners,
+    format_word,
+    hecke_convolve,
+    invert,
+    multiply,
+    normalize,
+    parse_word,
+)
 from bsrig.cli import COMMANDS, run  # noqa: E402
+from bsrig.oracles import oracle_convolve, oracle_exchange_partners  # noqa: E402
 
 SETTINGS = settings(deadline=None, database=None, max_examples=200)
 
@@ -105,3 +125,54 @@ def argvs(draw):
 def test_cli_exits_0_1_or_2_on_random_arguments(argv):
     code, _, _ = _run(argv)
     assert code in (0, 1, 2), argv
+
+
+def words(max_b, max_a):
+    """Free words a^{s_0} b^{e_1} a^{s_1} ... with at most max_b b-letters
+    and a-powers up to max_a in absolute value."""
+    power = st.integers(-max_a, max_a)
+    syllables = st.lists(st.tuples(st.sampled_from([1, -1]), power), max_size=max_b)
+    return st.builds(
+        lambda head, rest: GroupWord.of([("a", head)] + [x for e, s in rest for x in (("b", e), ("a", s))]),
+        power,
+        syllables,
+    )
+
+
+ORACLE_GROUPS = [bs(2, 3), bs(2, -3), bs(3, 4), bs(2, 2)]
+OMEGA = {G: enumerate_omega(G, 36) for G in ORACLE_GROUPS}
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.sampled_from(ORACLE_GROUPS), words(2, 20), words(2, 20), st.integers(1, 3))
+def test_convolution_equals_the_definition_oracle(G, u, v, coeff):
+    x = HeckeElement.single(double_coset(normalize(u, G), G))
+    y = HeckeElement.single(double_coset(normalize(v, G), G), coeff)
+    assert hecke_convolve(x, y, G) == oracle_convolve(x, y, G)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.sampled_from(ORACLE_GROUPS), words(2, 20), st.data())
+def test_exchange_partners_equal_the_fraction_oracle(G, u, data):
+    w = data.draw(st.sampled_from(OMEGA[G]))
+    g = normalize(u, G)
+    assert exchange_partners(w, g, G) == oracle_exchange_partners(w, g, G)
+
+
+# n, m of either sign, |n| = |m| and |n| = 1
+ROTATION_GROUPS = [bs(2, 3), bs(2, -3), bs(-2, 3), bs(3, -4), bs(2, 2), bs(1, -1)]
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.sampled_from(ROTATION_GROUPS), words(4, 10**6), words(2, 10**6))
+def test_cyclic_reduction_slices_the_normal_form(G, u, c):
+    # on conjugates u c u^-1, so that rotations happen
+    u, c = normalize(u, G), normalize(c, G)
+    g = multiply(multiply(u, c, G), invert(u, G), G)
+    conj, core = cyclically_reduce(g, G)
+    assert conj.tail == 0 and g.prefix[: len(conj.prefix)] == conj.prefix
+    assert conjugated_by(g, conj, G) == core
+    if core.prefix:
+        (s1, e1), (_, ek) = core.prefix[0], core.prefix[-1]
+        # no wrap-around pinch b^{e_k} a^{tail + s_1} b^{e_1} remains
+        assert ek != -e1 or (core.tail + s1) % (G.m if e1 == 1 else G.n)

@@ -7,12 +7,14 @@ from bsrig import (
     Hyperbolic,
     IDENTITY,
     NormalForm,
+    TreeVertex,
     a_power,
     base_vertex,
     bs,
     classify,
     common_fixed_vertex,
     conjugated_by,
+    cyclically_reduce,
     export_ball,
     fixes_vertex,
     format_word,
@@ -24,6 +26,7 @@ from bsrig import (
     vertex_of,
     word_nf,
 )
+from bsrig import words
 from bsrig.oracles import random_elliptic, random_nf
 
 G23 = bs(2, 3)
@@ -361,10 +364,10 @@ def _reference_ball(center, radius, G):
     return "\n".join(lines) + "\n"
 
 
-def _random_vertex(rng, G, b_length):
-    """A vertex at distance b_length from the base vertex, by a random walk
-    that never steps back."""
-    v = base_vertex(G)
+def _random_vertex(rng, G, b_length, start=None):
+    """A vertex b_length farther from the base vertex than start (the base
+    vertex itself by default), by a random walk that never steps back."""
+    v = base_vertex(G) if start is None else start
     for _ in range(b_length):
         v = rng.choice([w for w in _multiplied_neighbors(v, G) if w.rep.b_length > v.rep.b_length])
     return v
@@ -387,3 +390,67 @@ def test_export_ball_matches_multiplied_reference():
             for radius in range(4):
                 dot = export_ball(center, radius, G)
                 assert dot == _reference_ball(center, radius, G), (G, center, radius)
+
+
+def _one_digit_changed(rng, v, G):
+    """v's rep with one digit s_k replaced by another of its range, if some
+    other digit keeps the rep pinch-free; None otherwise."""
+    p = v.rep.prefix
+    if not p:
+        return None
+    k = rng.randrange(len(p))
+    s, e = p[k]
+    digits = [
+        t for t in range(abs(G.m if e == 1 else G.n))
+        if t != s and (t or k == 0 or p[k - 1][1] != -e)
+    ]
+    if not digits:
+        return None
+    return TreeVertex(NormalForm(p[:k] + ((rng.choice(digits), e),) + p[k + 1:], 0))
+
+
+def test_vertex_distance_matches_multiplication():
+    # pairs with a random vertex, every neighbour, an ancestor, a descendant
+    # and a rep with one digit changed, in both orders
+    rng = random.Random(30)
+    pairs = 0
+    for G in DIFFERENTIAL_GROUPS:
+        for _ in range(15):
+            u = _random_vertex(rng, G, rng.randint(0, 6))
+            p = u.rep.prefix
+            vs = [_random_vertex(rng, G, rng.randint(0, 6)), *vertex_neighbors(u, G)]
+            vs.append(TreeVertex(NormalForm(p[: rng.randint(0, len(p))], 0)))
+            vs.append(_random_vertex(rng, G, rng.randint(1, 3), start=u))
+            vs.append(_one_digit_changed(rng, u, G))
+            for v in filter(None, vs):
+                for x, y in ((u, v), (v, u)):
+                    expected = len(multiply(invert(x.rep, G), y.rep, G).prefix)
+                    assert vertex_distance(x, y, G) == expected, (G, x, y)
+                    pairs += 1
+    assert pairs >= 2000
+
+
+def test_classification_and_distance_do_no_group_arithmetic(monkeypatch):
+    built = []
+
+    class CountingBuilder(words._Builder):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def spell(*parts):
+        return word_nf(" ".join(text for count, text in parts for _ in range(count)), G23)
+
+    elliptic = spell((200, "b a"), (1, "a^2"), (200, "A B"))
+    hyperbolic = spell((50, "b a"), (1, "b a^2"), (50, "A B"))
+    u = vertex_of(spell((100, "b a")), G23)
+    v = vertex_of(spell((60, "b a"), (40, "a B")), G23)
+    monkeypatch.setattr(words, "_Builder", CountingBuilder)
+    assert isinstance(classify(elliptic, G23), Elliptic)
+    assert isinstance(classify(hyperbolic, G23), Hyperbolic)
+    for g in (elliptic, hyperbolic):
+        assert len(cyclically_reduce(g, G23)[0].prefix) >= 50
+    assert vertex_distance(u, v, G23) > 50
+    assert built == []
+    multiply(u.rep, v.rep, G23)  # the counter sees group arithmetic
+    assert len(built) == 1

@@ -24,6 +24,7 @@ from bsrig.oracles import (
     oracle_b_length,
     oracle_is_identity,
     oracle_scan,
+    random_nf,
     random_word,
     with_inserted_relator,
 )
@@ -237,6 +238,50 @@ def test_cyclic_reduction_properties():
                 if ek == -e1:
                     c = abs(G.m) if e1 == 1 else abs(G.n)
                     assert (core.tail + s1) % c != 0
+
+
+def _rotate_by_multiplication(g, G):
+    """cyclically_reduce by the loop that slicing the normal form replaced:
+    each rotation conjugates the core by its first letter a^{s_1} b^{e_1}."""
+    conj = IDENTITY
+    core = g
+    while core.prefix:
+        s1, e1 = core.prefix[0]
+        _, ek = core.prefix[-1]
+        if ek != -e1:
+            break
+        c = abs(G.m) if e1 == 1 else abs(G.n)
+        if (core.tail + s1) % c != 0:
+            break
+        w = NormalForm(((s1, e1),), 0)
+        conj = multiply(conj, w, G)
+        core = multiply(multiply(invert(w, G), core, G), w, G)
+    return conj, core
+
+
+# n, m of either sign, |n| = |m|, |n| = 1 and n | m
+ROTATION_GROUPS = [
+    bs(2, 3), bs(2, -3), bs(3, 4), bs(4, 6), bs(2, 2), bs(-2, 3),
+    bs(3, -4), bs(1, 2), bs(1, -1), bs(1, 1), bs(-3, -5),
+]
+
+
+def test_cyclic_reduction_matches_rotation_by_multiplication():
+    # 3300 conjugates u c u^-1; a bare a-power c rotates all the way down
+    rng = random.Random(10)
+    deep = 0
+    for G in ROTATION_GROUPS:
+        for _ in range(300):
+            u = random_nf(rng, G, max_b=8, max_exp=10**6)
+            if rng.random() < 0.4:
+                c = NormalForm((), rng.randint(-(10**6), 10**6))
+            else:
+                c = random_nf(rng, G, max_b=4, max_exp=10**6)
+            g = multiply(multiply(u, c, G), invert(u, G), G)
+            conj, core = cyclically_reduce(g, G)
+            assert (conj, core) == _rotate_by_multiplication(g, G), (G, g)
+            deep += len(conj.prefix) >= 3
+    assert deep >= 300
 
 
 def test_abelianization_examples():
