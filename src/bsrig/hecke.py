@@ -30,7 +30,6 @@ from .words import (
     InternalError,
     NormalForm,
     a_power,
-    invert,
     multiply,
     nf_sort_key,
 )
@@ -79,8 +78,8 @@ def _least_translate(g: NormalForm, G: BsPresentation) -> tuple[tuple, int, Cose
         x = (x + S * y - t) // den * num
         S = S // d * (num if den > 0 else -num)
     profile = CosetProfile(abs(S), R, S)
-    # postcondition g a^L g^-1 = a^r, checked through the word problem
-    if multiply(multiply(g, a_power(profile.L), G), invert(g, G), G) != a_power(profile.r):
+    # postcondition g a^L = a^r g, checked through the word problem
+    if multiply(g, a_power(profile.L), G) != multiply(a_power(profile.r), g, G):
         raise InternalError(f"internal error: profile {profile} fails verification for {g}")
     return tuple(prefix), i, profile
 
@@ -177,10 +176,10 @@ def qc_member(g: NormalForm, G: BsPresentation) -> bool:
 
 
 def centralizes(g: NormalForm, z: int, G: BsPresentation) -> bool:
-    """True iff g commutes with a^z, decided by the word problem."""
+    """True iff g a^z = a^z g, decided by the word problem."""
     if z == 0:
         raise ValueError("need a nonzero power of a")
-    return multiply(multiply(g, a_power(z), G), invert(g, G), G) == a_power(z)
+    return multiply(g, a_power(z), G) == multiply(a_power(z), g, G)
 
 
 # ---------------------------------------------------------------------------

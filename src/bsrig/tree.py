@@ -12,7 +12,8 @@ geodesics part where reps do: no multiplication needed.
 An element is elliptic iff its cyclically reduced core is an a-power;
 otherwise it is hyperbolic and translates along an axis by the cyclically
 reduced b-length.  Common fixed vertices are found by a walk along
-geodesics, not by a ball search.
+geodesics, not by a ball search: each step costs one product g h per
+element, and the next vertex is read off the reps of h<a> and g h<a>.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .words import (
     BsPresentation,
     NormalForm,
     IDENTITY,
-    conjugated_by,
     cyclically_reduce,
     format_word,
+    multiply,
 )
 
 __all__ = [
@@ -60,8 +61,9 @@ def base_vertex(G: BsPresentation) -> TreeVertex:
 
 
 def fixes_vertex(g: NormalForm, v: TreeVertex, G: BsPresentation) -> bool:
-    """g fixes the vertex h<a> iff h^-1 g h lies in <a>."""
-    return not conjugated_by(g, v.rep, G).prefix
+    """g fixes the vertex h<a> iff g h<a> = h<a>, i.e. g h and h share
+    their prefix: one product."""
+    return multiply(g, v.rep, G).prefix == v.rep.prefix
 
 
 def _neighbor(v: TreeVertex, s: int, e: int) -> TreeVertex:
@@ -117,36 +119,38 @@ def common_fixed_vertex(
     gs, G: BsPresentation, radius_bound: int
 ) -> tuple[TreeVertex, NormalForm] | None:
     """The common fixed vertex of least b-length of the elements of gs, with
-    its representative, if it lies within radius_bound of the first
+    its representative, if it lies within radius_bound >= 0 of the first
     element's witness vertex v0; None otherwise.  Rejects hyperbolic input.
 
     A walk along geodesics (Serre, Trees, I.6.5): while some g moves the
     current vertex v, step to the first vertex of the geodesic from v to
-    g v, spelled by v's rep and the first syllable of v's conjugate of g.
-    That geodesic runs through the projection of v onto Fix(g), which
-    contains the common fixed subtree X, so the walk follows the geodesic
-    from v0 to X.  It ends at the least vertex of X, since every geodesic
-    from the base vertex into X runs through v0, the projection of the base
-    vertex onto Fix(g1).  A nonempty X is nearest the base vertex at the
-    farthest of its projections onto the Fix(g), at distance
-    max |g|_b / 2: the walk takes at most absence_radius(gs) steps, and
-    from that radius on None proves absence.
+    g v.  One product g h gives g v's rep k, and the step is read off the
+    reps: one letter down along k if k extends v's rep h, else up to h's
+    parent.  The geodesic from v to g v runs through the projection of v
+    onto Fix(g), which contains the common fixed subtree X, so the walk
+    follows the geodesic from v0 to X.  It ends at the least vertex of X,
+    since every geodesic from the base vertex into X runs through v0, the
+    projection of the base vertex onto Fix(g1).  A nonempty X is nearest
+    the base vertex at the farthest of its projections onto the Fix(g), at
+    distance max |g|_b / 2: the walk takes at most absence_radius(gs)
+    steps, and from that radius on None proves absence.
     """
     gs = list(gs)
     if not gs:
         raise ValueError("need at least one element")
-    if radius_bound <= 0:
-        raise ValueError("radius bound must be positive")
+    if radius_bound < 0:
+        raise ValueError("radius bound must be nonnegative")
     classes = [classify(g, G) for g in gs]
     for g, c in zip(gs, classes):
         if isinstance(c, Hyperbolic):
             raise ValueError(f"element {format_word(g)} is hyperbolic, it fixes no vertex")
     v = vertex_of(classes[0].witness, G)
     for _ in range(min(radius_bound, absence_radius(gs)) + 1):
-        moved = next((c for c in (conjugated_by(g, v.rep, G) for g in gs) if c.prefix), None)
-        if moved is None:
+        h = v.rep.prefix
+        k = next((k for k in (multiply(g, v.rep, G).prefix for g in gs) if k != h), None)
+        if k is None:
             return v, v.rep
-        v = _neighbor(v, *moved.prefix[0])
+        v = TreeVertex(NormalForm(k[: len(h) + 1] if k[: len(h)] == h else h[:-1], 0))
     return None
 
 

@@ -250,30 +250,19 @@ class _Builder:
         self.tail += z
 
     def push_b(self, e: int) -> None:
-        n, m = self.n, self.m
+        """Cross b^e, e = +-1: a^t b^e = a^{t0} b^e a^{d q} with t = c q + t0,
+        where (c, d) = (m, n) for b and (n, m) for b^-1.  When t0 = 0 right
+        after b^-e, that is the pinch b^-e a^{c q} b^e = a^{d q}."""
+        c, d = (self.m, self.n) if e == 1 else (self.n, self.m)
         prefix = self.prefix
-        if e == 1:
-            # cross b: a^t b = a^{t0} b a^{n q} with t = m q + t0
-            t0 = self.tail % abs(m)
-            q = (self.tail - t0) // m
-            if t0 == 0 and prefix and prefix[-1][1] == -1:
-                # pinch b^-1 a^{m q} b = a^{n q}
-                s, _ = prefix.pop()
-                self.tail = s + n * q
-            else:
-                prefix.append((t0, 1))
-                self.tail = n * q
+        t0 = self.tail % abs(c)
+        q = (self.tail - t0) // c
+        if t0 == 0 and prefix and prefix[-1][1] == -e:
+            s, _ = prefix.pop()
+            self.tail = s + d * q
         else:
-            # cross b^-1: a^t b^-1 = a^{t0} b^-1 a^{m q} with t = n q + t0
-            t0 = self.tail % abs(n)
-            q = (self.tail - t0) // n
-            if t0 == 0 and prefix and prefix[-1][1] == 1:
-                # pinch b a^{n q} b^-1 = a^{m q}
-                s, _ = prefix.pop()
-                self.tail = s + m * q
-            else:
-                prefix.append((t0, -1))
-                self.tail = m * q
+            prefix.append((t0, e))
+            self.tail = d * q
 
     def push_word(self, w: GroupWord) -> None:
         for letter, exp in w.syllables:

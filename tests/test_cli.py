@@ -113,6 +113,11 @@ def test_fixed_says_whether_absence_is_proven(capsys):
     assert (code, json.loads(out)) == (0, {"vertex": None, "proven": False})
     code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", "2")
     assert (code, out) == (0, "vertex=b a b a b^-1 g0=b a b a b^-1\n")
+    # radius 0 checks the witness vertex alone
+    code, out, _ = invoke(capsys, "--group", "2,3", "fixed", "a", "--radius", "0")
+    assert (code, out) == (0, "vertex=e g0=e\n")
+    code, out, _ = invoke(capsys, "--group", "2,3", "fixed", "a^2", "b a^3 B", "--radius", "0")
+    assert (code, out) == (0, "none within radius 0; --radius 1 finds one or proves absence\n")
     # a^2 and b a^3 B fix disjoint subtrees: radius 1 already proves it
     for radius in ("1", "5"):
         code, out, _ = invoke(capsys, "--group", "2,3", "fixed", "a^2", "b a^3 B", "--radius", radius)
@@ -225,27 +230,29 @@ def test_exponent_past_the_digit_limit_is_exact(capsys):
 EXIT_CODES = [
     # (exit code, argv, text on stderr); stdout is empty unless the code is 0
     (0, ["--group", "2,3", "profile", "b"], ""),
-    # domain errors: a malformed word, a hyperbolic element in fixed, a
-    # witness for n = |m|
+    # domain errors: a malformed word, a hyperbolic element or a negative
+    # radius in fixed, a witness for n = |m|
     (1, ["--group", "2,3", "reduce", "a^2 q"], "offset"),
     (1, ["--group", "2,3", "fixed", "b"], "hyperbolic"),
+    (1, ["--group", "2,3", "fixed", "a", "--radius", "-1"], "nonnegative"),
     (1, ["witness", "2,2"], ""),
     # usage errors: a missing or malformed group, an unknown flag or subcommand
     (2, ["reduce", "b"], "usage"),
     (2, ["--group", "2,0", "reduce", "b"], ""),
     (2, ["--group", "2,3", "reduce", "b", "--bogus"], ""),
     (2, ["frobnicate"], ""),
-    # an internal error: the profile postcondition g a^L g^-1 = a^r fails
+    # an internal error: the profile postcondition g a^L = a^r g fails
     (3, ["--group", "2,3", "profile", "b"], "bug"),
 ]
 
 
 def test_exit_codes(capsys, monkeypatch):
+    profile = hecke.CosetProfile
     for code, argv, err_part in EXIT_CODES:
         with monkeypatch.context() as patch:
             if code == 3:
-                # a wrong inverse breaks the postcondition, whatever the input
-                patch.setattr(hecke, "invert", lambda g, G: g)
+                # a fold that comes out with r + 1 breaks the postcondition
+                patch.setattr(hecke, "CosetProfile", lambda l, r, L: profile(l, r + 1, L))
             got, out, err = invoke(capsys, *argv)
         assert got == code and err_part in err, argv
         assert (out != "" and err == "") if code == 0 else out == "", argv

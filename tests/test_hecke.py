@@ -26,6 +26,7 @@ from bsrig import (
     word_nf,
 )
 from bsrig.oracles import oracle_convolve, oracle_profile, random_nf, scan_double_coset
+from bsrig.words import InternalError
 
 G23 = bs(2, 3)
 
@@ -48,6 +49,27 @@ def test_profile_examples():
     assert coset_profile(word_nf("a^5", G23), G23) == CosetProfile(1, 1, 1)
     assert coset_profile(word_nf("b a b^-1", G23), G23) == CosetProfile(3, 3, 3)
     assert coset_profile(word_nf("b^2", G23), G23) == CosetProfile(4, 9, 4)
+
+
+def test_profile_postcondition_rejects_corrupted_triples(monkeypatch):
+    # g a^L = a^r g pins both r and L: a fold that comes out with r + 1, -L
+    # or L + 1 must fail the postcondition, g in <a> included
+    profile = CosetProfile
+    corruptions = (
+        lambda l, r, L: profile(l, r + 1, L),
+        lambda l, r, L: profile(l, r, -L),
+        lambda l, r, L: profile(l, r, L + 1),
+    )
+    rng = random.Random(13)
+    groups = (G23, bs(2, -3), bs(3, 4), bs(2, 2), bs(-2, 3), bs(1, 2))
+    for G in groups:
+        for k in range(30):
+            g = a_power(rng.randint(-50, 50)) if k < 5 else random_nf(rng, G, max_b=4, max_exp=30)
+            for corrupt in corruptions:
+                with monkeypatch.context() as patch:
+                    patch.setattr(hecke, "CosetProfile", corrupt)
+                    with pytest.raises(InternalError):
+                        coset_profile(g, G)
 
 
 def test_profile_against_brute_search():

@@ -81,6 +81,29 @@ def test_fixes_vertex():
     assert not fixes_vertex(word_nf("b", G23), base_vertex(G23), G23)
 
 
+def test_fixes_vertex_matches_conjugation():
+    # one product g h against the conjugate h^-1 g h, on the witness vertex
+    # of an elliptic g, on its neighbours and on random vertices, with
+    # random (mostly hyperbolic) elements mixed in
+    rng = random.Random(27)
+    groups = (G23, bs(2, -3), bs(3, 4), bs(2, 2), bs(-2, 3), bs(1, 2), bs(1, 1), bs(1, -1))
+    pairs = moved = moved_next_to_fixed = 0
+    for G in groups:
+        for k in range(50):
+            g = random_elliptic(rng, G, deep=k % 2 == 1)
+            v0 = vertex_of(classify(g, G).witness, G)
+            x = random_nf(rng, G, max_b=3, max_exp=20)
+            near = [(g, v0)] + [(g, w) for w in vertex_neighbors(v0, G)]
+            far = [(g, vertex_of(random_nf(rng, G, max_b=3), G)), (x, v0)]
+            for i, (h, v) in enumerate(near + far):
+                fixed = fixes_vertex(h, v, G)
+                assert fixed == (not conjugated_by(h, v.rep, G).prefix), (G, h, v)
+                pairs += 1
+                moved += not fixed
+                moved_next_to_fixed += 0 < i < len(near) and not fixed
+    assert pairs >= 2000 and moved >= 0.3 * pairs and moved_next_to_fixed >= 300
+
+
 def test_classify_examples():
     assert classify(word_nf("a", G23), G23) == Elliptic(IDENTITY)
     assert classify(word_nf("b", G23), G23) == Hyperbolic(1)
@@ -157,17 +180,16 @@ def test_common_fixed_vertex_instance_with_hyperbolic_product():
 
 
 def test_common_fixed_vertex_work_follows_the_walk(monkeypatch):
-    # one conjugation per element at each vertex of the walk, whatever the
+    # one product per element at each vertex of the walk, whatever the
     # radius; a ball search makes thousands at radius 5
     calls = 0
-    conjugate = conjugated_by
 
     def counted(g, h, G):
         nonlocal calls
         calls += 1
-        return conjugate(g, h, G)
+        return multiply(g, h, G)
 
-    monkeypatch.setattr("bsrig.tree.conjugated_by", counted)
+    monkeypatch.setattr("bsrig.tree.multiply", counted)
     absent = ["a^6", "b a^5 b a^-3 b a^2 B a^3 B a^-5 B"]  # the tree_walk shape
     deep = ["b a b a^6 B a^-1 B", "b a b a B a B a^6 b a^-1 b a^-1 B a^-1 B"]
     for radius in (5, 40):
