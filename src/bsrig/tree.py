@@ -7,7 +7,9 @@ normal form makes cosets canonical: a vertex is the normal form with tail
 zeroed, an edge the NormalForm with tail reduced into [0, |n|).  The
 vertex rep spells the geodesic from the base vertex <a>, so adjacent
 vertices differ by one letter a^s b^e at the end of the longer rep, and
-geodesics part where reps do: no multiplication needed.
+geodesics part where reps do: no multiplication needed.  A ball is
+exported by the same rule, walked as a tree with each label extended by
+one syllable from its parent's.
 
 An element is elliptic iff its cyclically reduced core is an a-power;
 otherwise it is hyperbolic and translates along an axis by the cyclically
@@ -25,6 +27,7 @@ from .words import (
     NormalForm,
     IDENTITY,
     cyclically_reduce,
+    _fmt_syllable,
     format_word,
     multiply,
 )
@@ -66,21 +69,28 @@ def fixes_vertex(g: NormalForm, v: TreeVertex, G: BsPresentation) -> bool:
     return multiply(g, v.rep, G).prefix == v.rep.prefix
 
 
-def _neighbor(v: TreeVertex, s: int, e: int) -> TreeVertex:
-    """The vertex v a^s b^e <a>, for s in the normal-form range of e: v's rep
-    with (s, e) appended, unless that is the one pinch the normal form
-    allows (s = 0 after b^-e), where it is v's parent."""
-    prefix = v.rep.prefix
-    if s == 0 and prefix and prefix[-1][1] == -e:
-        return TreeVertex(NormalForm(prefix[:-1], 0))
-    return TreeVertex(NormalForm(prefix + ((s, e),), 0))
+def _steps(G: BsPresentation, last: int) -> list[tuple[int, int] | None]:
+    """The steps (s, e) to the |n| + |m| neighbours v a^s b^e <a> of a vertex
+    v whose rep ends in a b-letter of sign last (0 at the base vertex), in
+    neighbour order: ranges of the edges v a^s <a^n> (e = -1, s < |n|), then
+    sources of the edges v a^s b <a^n> (e = 1, s < |m|).  Each step appends
+    (s, e) to v's rep, except the one pinch the normal form allows, (0, -last),
+    which leads to v's parent and is given as None."""
+    return [
+        None if s == 0 and e == -last else (s, e)
+        for e, count in ((-1, abs(G.n)), (1, abs(G.m)))
+        for s in range(count)
+    ]
 
 
 def vertex_neighbors(v: TreeVertex, G: BsPresentation) -> list[TreeVertex]:
-    """The |n| + |m| adjacent vertices: ranges of the edges v a^i <a^n> and
-    sources of the edges v a^j b <a^n>."""
-    steps = [(i, -1) for i in range(abs(G.n))] + [(j, 1) for j in range(abs(G.m))]
-    return [_neighbor(v, s, e) for s, e in steps]
+    """The |n| + |m| adjacent vertices, read off v's rep by _steps."""
+    prefix = v.rep.prefix
+    last = prefix[-1][1] if prefix else 0
+    return [
+        TreeVertex(NormalForm(prefix[:-1] if step is None else prefix + (step,), 0))
+        for step in _steps(G, last)
+    ]
 
 
 def vertex_distance(u: TreeVertex, v: TreeVertex, G: BsPresentation) -> int:
@@ -154,32 +164,72 @@ def common_fixed_vertex(
     return None
 
 
+def _child(vertex, s: int, e: int, edges: list) -> tuple[str, str, int]:
+    """The child v a^s b^e <a> of a labelled vertex (label, stem, run), where
+    run is the signed exponent of the label's last b-run and stem the label
+    before it: the label is extended by one syllable, not re-formatted.  A
+    step with s = 0 and the sign of run merges into that run (b becomes
+    b^2).  The ball edge between the two goes to edges."""
+    label, stem, run = vertex
+    if s:
+        stem = f"{label} {_fmt_syllable('a', s)}" if run else _fmt_syllable("a", s)
+        run = e
+    else:
+        run += e
+    child = f"{stem} {_fmt_syllable('b', run)}" if stem else _fmt_syllable("b", run)
+    if e == 1:  # child b^-1 <a> = parent: the edge child<a^n> runs from child to parent
+        edges.append((child, label, child))
+    else:  # child = parent a^s b^-1 <a>: the range of the edge parent a^s <a^n>
+        edges.append((label, child, stem if s else label))
+    return child, stem, run
+
+
 def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
     """DOT description of the ball subgraph: vertex label = canonical coset
     word, directed edges source -> range with the edge coset word as label,
-    everything ordered lexicographically by label."""
+    everything ordered lexicographically by label.  For d = |n| + |m| > 2 the
+    ball has 1 + d((d-1)^R - 1)/(d - 2) vertices at radius R (1 + 2R for
+    d = 2), and one edge fewer.
+
+    A walk of the ball as a tree rooted at the base vertex, with no visited
+    set and no group arithmetic.  Each vertex steps to its children, the
+    steps of _steps but the pinch; only the path from the centre toward the
+    base vertex also steps up, skipping the branch it came from.  A child's
+    label is its parent's plus one syllable, and each edge label is read off
+    the same strings, so format_word runs once, for the farthest ancestor
+    of the centre within the radius."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    labels = {center: str(center)}
-    edges = []
-    sphere = [center]
-    for _ in range(radius):
-        pairs = [(u, w) for u in sphere for w in vertex_neighbors(u, G) if w not in labels]
-        sphere = [w for _, w in pairs]
-        labels.update((w, str(w)) for w in sphere)
-        for u, w in pairs:
-            # the child c is the end with the longer rep, one letter a^s b^e past its parent p
-            c, p = (w, u) if len(w.rep.prefix) > len(u.rep.prefix) else (u, w)
-            s, e = c.rep.prefix[-1]
-            if e == 1:  # c b^-1 <a> = p: the edge c<a^n> runs from c to p
-                edges.append((labels[c], labels[p], labels[c]))
-            else:  # c = p a^s b^-1 <a>: the range of the edge p a^s <a^n>
-                label = format_word(NormalForm(p.rep.prefix, s)) if s else labels[p]
-                edges.append((labels[p], labels[c], label))
+    children = {last: [step for step in _steps(G, last) if step] for last in (-1, 0, 1)}
+    prefix = center.rep.prefix
+    top = len(prefix) - min(radius, len(prefix))
+    label = format_word(NormalForm(prefix[:top], 0))
+    run = 0
+    for s, e in reversed(prefix[:top]):  # the last b-run: syllables back to the first with s != 0
+        run += e
+        if s:
+            break
+    edges: list[tuple[str, str, str]] = []
+    path = [(label, label.rpartition(" ")[0], run)]
+    for s, e in prefix[top:]:
+        path.append(_child(path[-1], s, e, edges))
+    labels = [vertex[0] for vertex in path]
+    for up, root in enumerate(reversed(path)):  # root lies up steps above the centre
+        skip = prefix[len(prefix) - up] if up else None  # the branch toward the centre
+        sphere = [root]
+        for level in range(radius - up):
+            sphere = [
+                _child(vertex, s, e, edges)
+                for vertex in sphere
+                for s, e in children[(vertex[2] > 0) - (vertex[2] < 0)]
+                if level or (s, e) != skip
+            ]
+            labels.extend(vertex[0] for vertex in sphere)
+    labels.sort()
     edges.sort()
 
     lines = ["digraph bass_serre_ball {"]
-    for label in sorted(labels.values()):
+    for label in labels:
         lines.append(f'  "{label}";')
     for src, dst, lab in edges:
         lines.append(f'  "{src}" -> "{dst}" [label="{lab}"];')

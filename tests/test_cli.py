@@ -161,6 +161,18 @@ def test_tree_ball(capsys):
     assert json.loads(out) == {"dot": 'digraph bass_serre_ball {\n  "e";\n}\n'}
 
 
+def test_tree_ball_text_is_the_json_dot(capsys):
+    argv = ("--group", "2,-3", "tree-ball", "b^2 a B", "3")
+    code, text, _ = invoke(capsys, *argv)
+    assert code == 0
+    code, out, _ = invoke(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert text == json.loads(out)["dot"]
+    # 1 + d((d - 1)^R - 1)/(d - 2) vertices for d = 5, R = 3
+    assert text.count('";\n') == 106
+    assert '  "b^2 a b^-1";\n' in text
+
+
 def test_invariants(capsys):
     code, out, _ = invoke(capsys, "--group", "4,-6", "invariants", "--depth", "1")
     assert code == 0

@@ -26,7 +26,7 @@ from bsrig import (
     vertex_of,
     word_nf,
 )
-from bsrig import words
+from bsrig import tree, words
 from bsrig.oracles import random_elliptic, random_nf
 
 G23 = bs(2, 3)
@@ -475,4 +475,44 @@ def test_classification_and_distance_do_no_group_arithmetic(monkeypatch):
     assert vertex_distance(u, v, G23) > 50
     assert built == []
     multiply(u.rep, v.rep, G23)  # the counter sees group arithmetic
+    assert len(built) == 1
+
+
+def test_export_ball_extends_merged_runs_across_the_base_vertex():
+    # centres whose rep ends in a merged b-run, at radii up to |centre| + 2,
+    # so the walk climbs through the base vertex and down its other branches
+    cases = 0
+    for G in DIFFERENTIAL_GROUPS + [bs(1, 1), bs(-3, -5)]:
+        for word in ("b^3", "a B^2", "b a b^2"):
+            center = vertex_of(word_nf(word, G), G)
+            for radius in range(center.rep.b_length + 3):
+                assert export_ball(center, radius, G) == _reference_ball(center, radius, G), (G, word, radius)
+                cases += 1
+    assert cases == 12 * (6 + 5 + 6)
+
+
+def test_export_ball_formats_no_vertex_from_scratch(monkeypatch):
+    built, formatted = [], []
+
+    class CountingBuilder(words._Builder):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def counting_format(w):
+        formatted.append(w)
+        return format_word(w)
+
+    centers = [vertex_of(word_nf(text, G23), G23) for text in ("e", "b^3", "a B^2", "b a b^2", "b^2 a b a B^4")]
+    monkeypatch.setattr(words, "_Builder", CountingBuilder)
+    monkeypatch.setattr(tree, "format_word", counting_format)
+    radius = 5
+    for center in centers:
+        line = f'  "{center}";\n'
+        formatted.clear()
+        dot = export_ball(center, radius, G23)
+        assert line in dot and dot.count('";\n') == 1 + 5 * (4**radius - 1) // 3
+        assert 1 <= len(formatted) <= min(radius, center.rep.b_length) + 1, (center, len(formatted))
+    assert built == []
+    multiply(centers[1].rep, centers[2].rep, G23)  # the counter sees group arithmetic
     assert len(built) == 1
