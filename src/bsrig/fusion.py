@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .words import BsPresentation, InternalError, NormalForm, a_power, invert, multiply
 from .hecke import DoubleCoset, coset_profile, double_coset
@@ -40,12 +41,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
 class RootOfUnity:
-    """exp(2 pi i num/den) with gcd(num, den) = 1 and 0 <= num < den."""
+    """exp(2 pi i num/den) with gcd(num, den) = 1 and 0 <= num < den.
 
-    num: int
-    den: int
+    A read-only value: ``num`` and ``den`` have no setters, and equality and
+    hashing go by the pair.  Exchange partners build one per solution, so
+    it is a plain slots class rather than a frozen dataclass, whose
+    ``__init__`` and ``__hash__`` cost about twice as much per partner.
+    The constructor trusts its arguments to be reduced; ``of`` reduces.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    num = property(attrgetter("_num"))
+    den = property(attrgetter("_den"))
+
+    def __init__(self, num: int, den: int):
+        self._num = num
+        self._den = den
 
     @staticmethod
     def of(num: int, den: int) -> "RootOfUnity":
@@ -58,17 +71,28 @@ class RootOfUnity:
 
     @property
     def angle(self) -> Fraction:
-        return Fraction(self.num, self.den)
+        return Fraction(self._num, self._den)
 
     @property
     def is_one(self) -> bool:
-        return self.num == 0
+        return self._num == 0
 
     def power(self, z: int) -> "RootOfUnity":
-        return RootOfUnity.of(self.num * z, self.den)
+        return RootOfUnity.of(self._num * z, self._den)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._num == other._num and self._den == other._den
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
+
+    def __repr__(self) -> str:
+        return f"RootOfUnity(num={self._num!r}, den={self._den!r})"
 
     def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
+        return f"{self._num}/{self._den}"
 
 
 ONE = RootOfUnity(0, 1)
@@ -197,8 +221,10 @@ def decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
     """
     G.require_standard("self-inverse decomposition")
     p = coset_profile(g, G)
-    w = RootOfUnity.of(1, p.r)
-    terms = [Irreducible.character(w.power(i)) for i in range(p.r)]
+    terms = []
+    for i in range(p.r):
+        q = gcd(i, p.r)
+        terms.append(Irreducible.character(RootOfUnity(i // q, p.r // q)))
     ginv = invert(g, G)
     for i in range(1, p.l):
         conj = multiply(multiply(g, a_power(i), G), ginv, G)

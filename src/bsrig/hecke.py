@@ -14,7 +14,10 @@ left translate a^i g at once.  Invariant: the translates a^{i + R y} (y in
 Z) still in play share the least prefix so far and push a^{x + S y} into
 the next letter, whose digit x + S y mod c (c = |m| for b, |n| for b^-1)
 is least on one class of y modulo c / gcd(S, c).  Every division is exact,
-and at the end a^R g = g a^S, so r = R, L = S and l = |S|.  The set of
+and at the end a^R g = g a^S, so r = R, L = S and l = |S|.  The pass checks
+g a^L g^-1 = a^r without multiplying: conjugating a^L by g runs a
+divisibility cascade over the b-letters of g from the right, which decides
+the equation by Britton's lemma.  The set of
 values taken by l on the whole group is F + {1} where
 F = {k n0^s |m0|^t : s + t > 0}.
 """
@@ -78,10 +81,27 @@ def _least_translate(g: NormalForm, G: BsPresentation) -> tuple[tuple, int, Cose
         x = (x + S * y - t) // den * num
         S = S // d * (num if den > 0 else -num)
     profile = CosetProfile(abs(S), R, S)
-    # postcondition g a^L = a^r g, checked through the word problem
-    if multiply(g, a_power(profile.L), G) != multiply(a_power(profile.r), g, G):
+    # postcondition g a^L g^-1 = a^r, decided by the conjugation cascade
+    if _conjugate_exponent(g, profile.L, G) != profile.r:
         raise InternalError(f"internal error: profile {profile} fails verification for {g}")
     return tuple(prefix), i, profile
+
+
+def _conjugate_exponent(g: NormalForm, z: int, G: BsPresentation) -> int | None:
+    """The exponent of g a^z g^-1, or None when it is not in <a>.
+
+    Inside out, every a-syllable of g commutes with the current a-power,
+    and b^e a^z b^-e is a^{z / c * d} when c | z, with (c, d) = (n, m) for
+    e = 1 and (m, n) for e = -1.  When c does not divide z the word is
+    reduced with b-letters left, so by Britton's lemma g a^z g^-1 is not in
+    <a>."""
+    n, m = G.n, G.m
+    for _, e in reversed(g.prefix):
+        c, d = (n, m) if e == 1 else (m, n)
+        if z % c:
+            return None
+        z = z // c * d
+    return z
 
 
 def coset_profile(g: NormalForm, G: BsPresentation) -> CosetProfile:
@@ -176,10 +196,10 @@ def qc_member(g: NormalForm, G: BsPresentation) -> bool:
 
 
 def centralizes(g: NormalForm, z: int, G: BsPresentation) -> bool:
-    """True iff g a^z = a^z g, decided by the word problem."""
+    """True iff g a^z = a^z g, decided by the conjugation cascade."""
     if z == 0:
         raise ValueError("need a nonzero power of a")
-    return multiply(g, a_power(z), G) == multiply(a_power(z), g, G)
+    return _conjugate_exponent(g, z, G) == z
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ digit.  The convolution oracle counts Hecke coefficients from their
 definition, one scan canonicalisation per (candidate, right coset) pair.
 The exchange oracle solves L * angle(u) = r * angle(w) mod 1 in Fraction
 arithmetic, one division per solution, instead of listing integer residues.
+The commutation oracle decides g a^z = a^y g by comparing two products
+instead of running the divisibility cascade, and the modular ratio reads
+r(g) / l(g) off the b-exponent sum alone, with no bound on r.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ __all__ = [
     "oracle_is_identity",
     "oracle_b_length",
     "oracle_profile",
+    "oracle_conjugates",
+    "modular_ratio",
     "scan_double_coset",
     "oracle_convolve",
     "oracle_exchange_partners",
@@ -157,6 +162,21 @@ def oracle_profile(g: NormalForm, G: BsPresentation, bound: int = 10**6) -> tupl
         if multiply(multiply(g, a_power(L), G), ginv, G) == a_power(r):
             return l, r, L
     raise RuntimeError("no signed exponent matches, which contradicts almost normality")
+
+
+def oracle_conjugates(g: NormalForm, z: int, y: int, G: BsPresentation) -> bool:
+    """True iff g a^z = a^y g, one product on each side compared by the word
+    problem: the profile postcondition for (z, y) = (L, r), centralizing
+    a^z for y = z."""
+    return multiply(g, a_power(z), G) == multiply(a_power(y), g, G)
+
+
+def modular_ratio(g: NormalForm, G: BsPresentation) -> Fraction:
+    """r(g) / l(g) as the modular function of the Hecke pair,
+    (|m0| / |n0|)^sigma with sigma the b-exponent sum of g: a homomorphism
+    to the positive rationals, read off the b-letters alone."""
+    sigma = sum(e for _, e in g.prefix)
+    return Fraction(abs(G.m0), abs(G.n0)) ** sigma
 
 
 def scan_double_coset(g: NormalForm, G: BsPresentation) -> DoubleCoset:

@@ -14,6 +14,7 @@ budget in seconds.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from types import SimpleNamespace as Sizes
 from typing import Callable
 
@@ -61,9 +62,9 @@ def _profiles(rng: random.Random, s: Sizes) -> None:
         ginv = words.invert(g, G)
         q = hecke.coset_profile(ginv, G)
         assert p.l == q.r and p.r == q.l
-        # the defining identity g a^L g^-1 = a^r, by the word problem
-        conj = words.multiply(words.multiply(g, words.a_power(p.L), G), ginv, G)
-        assert conj == words.a_power(p.r)
+        assert Fraction(p.r, p.l) == oracles.modular_ratio(g, G)
+        # the defining identity g a^L = a^r g, by the word problem
+        assert oracles.oracle_conjugates(g, p.L, p.r, G)
 
 
 @_titled("observed l-values fill the index value set")

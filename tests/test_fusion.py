@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,6 +9,7 @@ from bsrig import (
     Irreducible,
     ONE,
     RootOfUnity,
+    SignWitness,
     bs,
     coset_profile,
     decompose_self_inverse,
@@ -16,6 +19,7 @@ from bsrig import (
     invert,
     isomorphic,
     omega_member,
+    sign_witness,
     word_nf,
 )
 from bsrig.oracles import oracle_exchange_partners, random_nf
@@ -30,6 +34,32 @@ def test_root_of_unity_normalization():
     assert RootOfUnity.of(1, 3).power(-1) == RootOfUnity(2, 3)
     assert RootOfUnity.of(1, 12).power(12) == ONE
     assert str(RootOfUnity.of(5, 10)) == "1/2"
+
+
+def test_root_of_unity_is_a_read_only_value():
+    w = RootOfUnity(1, 3)
+    for field in ("num", "den"):
+        with pytest.raises(AttributeError):
+            setattr(w, field, 2)
+    assert (w.num, w.den) == (1, 3)
+    assert repr(w) == "RootOfUnity(num=1, den=3)" and str(w) == "1/3"
+    assert RootOfUnity.of(2, 6) == w and hash(RootOfUnity.of(2, 6)) == hash(w)
+    assert w != RootOfUnity(2, 3) and w != (1, 3) and w != Fraction(1, 3)
+    assert w.__eq__((1, 3)) is NotImplemented
+    assert len({w, RootOfUnity.of(-2, -6), RootOfUnity(2, 3)}) == 2
+    # the labels and certificates that hold roots keep comparing by value
+    chi = Irreducible.character(RootOfUnity.of(4, 12))
+    assert chi == Irreducible.character(w) and hash(chi) == hash(Irreducible.character(w))
+    assert chi != Irreducible.character(RootOfUnity(2, 3))
+    wit = sign_witness(2, 3)
+    assert wit == SignWitness(1, RootOfUnity(1, 12), RootOfUnity(1, 18))
+    assert hash(wit) == hash(sign_witness(2, 3)) and wit != sign_witness(2, -3)
+    for n in range(2, 7):
+        for m in [v for am in range(n + 1, 9) for v in (am, -am)]:
+            wit, k = sign_witness(n, m), gcd(n, m)
+            n0, m0 = n // k, m // k
+            assert wit.omega == RootOfUnity.of(1, k * n0 ** (wit.t + 1) * m0**wit.t)
+            assert wit.mu == RootOfUnity.of(1, k * n0**wit.t * m0 ** (wit.t + 1))
 
 
 def _product(w, u):
@@ -219,6 +249,7 @@ def test_exchange_partners_are_all_L_solutions():
             g = random_nf(rng, G, max_b=3, max_exp=10)
             p = coset_profile(g, G)
             partners = exchange_partners(w, g, G)
+            assert partners == oracle_exchange_partners(w, g, G)
             assert len(partners) == abs(p.L)
             for mu in partners:
                 assert mu.power(p.L) == w.power(p.r)

@@ -25,7 +25,7 @@ from bsrig import (
     same_double_coset,
     word_nf,
 )
-from bsrig.oracles import oracle_convolve, oracle_profile, random_nf, scan_double_coset
+from bsrig.oracles import oracle_conjugates, oracle_convolve, oracle_profile, random_nf, scan_double_coset
 from bsrig.words import InternalError
 
 G23 = bs(2, 3)
@@ -70,6 +70,51 @@ def test_profile_postcondition_rejects_corrupted_triples(monkeypatch):
                     patch.setattr(hecke, "CosetProfile", corrupt)
                     with pytest.raises(InternalError):
                         coset_profile(g, G)
+
+
+def test_conjugation_cascade_matches_the_product_oracle():
+    # the cascade and g a^z = a^y g by two products accept and reject the
+    # same (z, y): true profiles, their r + 1, -L and L + 1 corruptions,
+    # multiples of them, and random z of either sign
+    rng = random.Random(14)
+    groups = (G23, bs(2, -3), bs(1, 1), bs(1, -1), bs(-2, 3), bs(-3, -5), bs(2, 2), bs(3, 6))
+    accepted = rejected = 0
+    for G in groups:
+        for k in range(40):
+            g = a_power(rng.randint(-50, 50)) if k < 5 else random_nf(rng, G, max_b=4, max_exp=30)
+            p = coset_profile(g, G)
+            pairs = [(p.L, p.r), (p.L, p.r + 1), (-p.L, p.r), (p.L + 1, p.r)]
+            pairs += [(j * p.L, j * p.r) for j in (-3, -1, 2)]
+            pairs += [(z, rng.randint(-90, 90)) for z in rng.sample(range(-60, 61), 4)]
+            for z, y in pairs:
+                verdict = hecke._conjugate_exponent(g, z, G) == y
+                assert verdict == oracle_conjugates(g, z, y, G), (G, g, z, y)
+                accepted += verdict
+                rejected += not verdict
+                if z:
+                    assert centralizes(g, z, G) == oracle_conjugates(g, z, z, G), (G, g, z)
+    assert accepted > 1000 and rejected > 1000
+
+
+def test_profile_and_double_coset_work_is_the_prefix_check(monkeypatch):
+    # the profile postcondition multiplies nothing; double_coset keeps one
+    # product, the check that a^i g has the chosen prefix
+    calls = 0
+
+    def counted(g, h, G):
+        nonlocal calls
+        calls += 1
+        return multiply(g, h, G)
+
+    monkeypatch.setattr("bsrig.hecke.multiply", counted)
+    for G in (G23, bs(2, -3), bs(3, 4)):
+        for text in ("a^5", "b", "B", "b^2 a B a^-1 b^3"):
+            g = word_nf(text, G)
+            calls = 0
+            coset_profile(g, G)
+            assert calls == 0
+            double_coset(g, G)
+            assert calls == 1
 
 
 def test_profile_against_brute_search():

@@ -1,6 +1,7 @@
 """Property-based tests on arbitrary input: exact roots of unity, the word
 parser, the command line, Hecke convolution and exchange partners against
-their definition oracles, and cyclic reduction against its contract.
+their definition oracles, the coset profile against the modular function,
+and cyclic reduction against its contract.
 Hypothesis comes with the ``test`` extra; the module is skipped where it
 is not installed."""
 
@@ -20,6 +21,7 @@ from bsrig import (  # noqa: E402
     WordSyntaxError,
     bs,
     conjugated_by,
+    coset_profile,
     cyclically_reduce,
     double_coset,
     enumerate_omega,
@@ -32,7 +34,7 @@ from bsrig import (  # noqa: E402
     parse_word,
 )
 from bsrig.cli import COMMANDS, run  # noqa: E402
-from bsrig.oracles import oracle_convolve, oracle_exchange_partners  # noqa: E402
+from bsrig.oracles import modular_ratio, oracle_convolve, oracle_exchange_partners  # noqa: E402
 
 SETTINGS = settings(deadline=None, database=None, max_examples=200)
 
@@ -157,6 +159,19 @@ def test_exchange_partners_equal_the_fraction_oracle(G, u, data):
     w = data.draw(st.sampled_from(OMEGA[G]))
     g = normalize(u, G)
     assert exchange_partners(w, g, G) == oracle_exchange_partners(w, g, G)
+
+
+# n, m of either sign, |n| = |m|, |n| = 1 and k = gcd(n, m) > 1
+RATIO_GROUPS = [bs(2, 3), bs(-2, 3), bs(-2, -3), bs(1, -1), bs(2, 2), bs(3, 4), bs(6, -10)]
+
+
+@SETTINGS
+@given(st.sampled_from(RATIO_GROUPS), words(8, 10**6))
+def test_profile_ratio_is_the_modular_function(G, u):
+    # r * |n0|^sigma = l * |m0|^sigma, with no bound on r
+    g = normalize(u, G)
+    p = coset_profile(g, G)
+    assert Fraction(p.r, p.l) == modular_ratio(g, G)
 
 
 # n, m of either sign, |n| = |m| and |n| = 1
