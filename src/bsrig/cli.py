@@ -25,7 +25,7 @@ import re
 import sys
 from typing import Callable, NamedTuple
 
-from . import fusion, hecke, rigidity, selftest, tree
+from . import fusion, hecke, rigidity, tree
 from .words import BsPresentation, InternalError, bs, format_word, word_nf
 
 
@@ -171,6 +171,8 @@ def _witness(a, G):
 
 
 def _selftest(a, G):
+    from . import selftest  # with its oracles, loaded only for this command
+
     passed, failed, lines = selftest.run_selftest(a.seed or 0)
     result = {"passed": passed, "failed": failed}, "\n".join(lines)
     if failed:

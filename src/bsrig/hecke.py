@@ -25,13 +25,14 @@ F = {k n0^s |m0|^t : s + t > 0}.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
 from .words import (
     BsPresentation,
     InternalError,
     NormalForm,
+    Value,
+    _set,
     a_power,
     multiply,
     nf_sort_key,
@@ -52,11 +53,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class CosetProfile:
-    l: int
-    r: int
-    L: int
+class CosetProfile(Value):
+    __slots__ = ("l", "r", "L")
+
+    def __init__(self, l: int, r: int, L: int):
+        _set(self, "l", l)
+        _set(self, "r", r)
+        _set(self, "L", L)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.l == other.l and self.r == other.r and self.L == other.L
+
+    def __hash__(self) -> int:
+        return hash((self.l, self.r, self.L))
 
     def as_json(self) -> dict:
         return {"l": self.l, "r": self.r, "L": self.L}
@@ -98,9 +109,10 @@ def _conjugate_exponent(g: NormalForm, z: int, G: BsPresentation) -> int | None:
     n, m = G.n, G.m
     for _, e in reversed(g.prefix):
         c, d = (n, m) if e == 1 else (m, n)
-        if z % c:
+        q, t = divmod(z, c)
+        if t:
             return None
-        z = z // c * d
+        z = q * d
     return z
 
 
@@ -151,13 +163,23 @@ def f_set(depth: int, G: BsPresentation) -> set[int]:
 # ---------------------------------------------------------------------------
 # double cosets
 
-@dataclass(frozen=True, slots=True)
-class DoubleCoset:
+class DoubleCoset(Value):
     """<a> g <a>, held by its canonical representative: the lexicographically
     least of the r(g) tail-zeroed translates a^i g (0 <= i < r(g))."""
 
-    representative: NormalForm
-    profile: CosetProfile
+    __slots__ = ("representative", "profile")
+
+    def __init__(self, representative: NormalForm, profile: CosetProfile):
+        _set(self, "representative", representative)
+        _set(self, "profile", profile)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.representative == other.representative and self.profile == other.profile
+
+    def __hash__(self) -> int:
+        return hash((self.representative, self.profile))
 
     @property
     def is_unit(self) -> bool:
@@ -205,11 +227,21 @@ def centralizes(g: NormalForm, z: int, G: BsPresentation) -> bool:
 # ---------------------------------------------------------------------------
 # convolution on the double coset algebra
 
-@dataclass(frozen=True, slots=True)
-class HeckeElement:
+class HeckeElement(Value):
     """Integer combination of double cosets, sparse and zero-free."""
 
-    terms: tuple[tuple[DoubleCoset, int], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[DoubleCoset, int], ...]):
+        _set(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     @staticmethod
     def from_dict(coeffs: dict[DoubleCoset, int]) -> "HeckeElement":

@@ -19,11 +19,10 @@ A verdict of no_obstruction asserts nothing beyond the test not applying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .words import InternalError, bs
+from .words import InternalError, Value, _set, bs
 from .fusion import ONE, RootOfUnity, omega_member
 
 __all__ = [
@@ -47,22 +46,42 @@ ABS_M_MISMATCH = "abs_m_mismatch"
 SIGN_MISMATCH = "sign_mismatch"
 
 
-@dataclass(frozen=True, slots=True)
-class SignWitness:
+class SignWitness(Value):
     """Certificate separating BS(n, m) from BS(n, -m) when n != |m|."""
 
-    t: int
-    omega: RootOfUnity
-    mu: RootOfUnity
+    __slots__ = ("t", "omega", "mu")
+
+    def __init__(self, t: int, omega: RootOfUnity, mu: RootOfUnity):
+        _set(self, "t", t)
+        _set(self, "omega", omega)
+        _set(self, "mu", mu)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.t == other.t and self.omega == other.omega and self.mu == other.mu
+
+    def __hash__(self) -> int:
+        return hash((self.t, self.omega, self.mu))
 
     def as_json(self) -> dict:
         return {"t": self.t, "omega": str(self.omega), "mu": str(self.mu)}
 
 
-@dataclass(frozen=True, slots=True)
-class RigidityVerdict:
-    kind: str
-    witness: SignWitness | None = None
+class RigidityVerdict(Value):
+    __slots__ = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: SignWitness | None = None):
+        _set(self, "kind", kind)
+        _set(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.witness == other.witness
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.witness))
 
     def as_json(self) -> dict:
         out: dict = {"verdict": self.kind}

@@ -20,12 +20,12 @@ element, and the next vertex is read off the reps of h<a> and g h<a>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .words import (
     BsPresentation,
     NormalForm,
     IDENTITY,
+    Value,
+    _set,
     cyclically_reduce,
     _fmt_syllable,
     format_word,
@@ -47,9 +47,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TreeVertex:
-    rep: NormalForm  # tail = 0
+class TreeVertex(Value):
+    __slots__ = ("rep",)
+
+    def __init__(self, rep: NormalForm):  # rep.tail = 0
+        _set(self, "rep", rep)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rep == other.rep
+
+    def __hash__(self) -> int:
+        return hash((self.rep,))
 
     def __str__(self) -> str:
         return format_word(self.rep)
@@ -100,14 +110,34 @@ def vertex_distance(u: TreeVertex, v: TreeVertex, G: BsPresentation) -> int:
     return len(p) + len(q) - 2 * common
 
 
-@dataclass(frozen=True, slots=True)
-class Elliptic:
-    witness: NormalForm  # witness^-1 g witness lies in <a>
+class Elliptic(Value):
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: NormalForm):  # witness^-1 g witness lies in <a>
+        _set(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.witness == other.witness
+
+    def __hash__(self) -> int:
+        return hash((self.witness,))
 
 
-@dataclass(frozen=True, slots=True)
-class Hyperbolic:
-    translation_length: int
+class Hyperbolic(Value):
+    __slots__ = ("translation_length",)
+
+    def __init__(self, translation_length: int):
+        _set(self, "translation_length", translation_length)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.translation_length == other.translation_length
+
+    def __hash__(self) -> int:
+        return hash((self.translation_length,))
 
 
 def classify(g: NormalForm, G: BsPresentation) -> Elliptic | Hyperbolic:

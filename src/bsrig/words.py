@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from math import gcd
 
 __all__ = [
@@ -62,18 +61,64 @@ class WordSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, slots=True)
-class BsPresentation:
+# Field stores in the __init__ of Value classes, which refuse plain assignment.
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the immutable value classes: plain ``__slots__`` classes with
+    the behaviour of a frozen dataclass at a fraction of its import cost.
+
+    A subclass lists its fields in ``__slots__`` and writes its own
+    ``__init__`` (storing each field with ``_set``), ``__eq__`` (true only
+    against its own class with equal fields, compared one by one) and
+    ``__hash__`` (the hash of the field tuple); spelled out per class, they
+    cost no more per call than generated ones.  The base refuses assignment
+    and deletion with AttributeError and gives the ``Cls(field=value, ...)``
+    repr and pickling by the field tuple.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class BsPresentation(Value):
     """Parameters of BS(n, m) together with the derived quantities
 
     k = gcd(|n|, |m|), n = k*n0, m = k*m0 (so gcd(n0, |m0|) = 1).
     """
 
-    n: int
-    m: int
-    k: int
-    n0: int
-    m0: int
+    __slots__ = ("n", "m", "k", "n0", "m0")
+
+    def __init__(self, n: int, m: int, k: int, n0: int, m0: int):
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "k", k)
+        _set(self, "n0", n0)
+        _set(self, "m0", m0)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.n == other.n and self.m == other.m and self.k == other.k
+            and self.n0 == other.n0 and self.m0 == other.m0
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m, self.k, self.n0, self.m0))
 
     @property
     def is_standard(self) -> bool:
@@ -98,12 +143,22 @@ def bs(n: int, m: int) -> BsPresentation:
     return BsPresentation(n, m, k, n // k, m // k)
 
 
-@dataclass(frozen=True, slots=True)
-class GroupWord:
+class GroupWord(Value):
     """A free word over {a, b}: merged syllables (letter, exponent) with all
     exponents nonzero and adjacent letters distinct."""
 
-    syllables: tuple[tuple[str, int], ...]
+    __slots__ = ("syllables",)
+
+    def __init__(self, syllables: tuple[tuple[str, int], ...]):
+        _set(self, "syllables", syllables)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.syllables == other.syllables
+
+    def __hash__(self) -> int:
+        return hash((self.syllables,))
 
     @staticmethod
     def of(items) -> "GroupWord":
@@ -128,14 +183,24 @@ class GroupWord:
         return format_word(self)
 
 
-@dataclass(frozen=True, slots=True)
-class NormalForm:
+class NormalForm(Value):
     """The right-pushed normal form: ``prefix`` holds the (s_i, e_i) pairs,
     ``tail`` the final a-exponent.  Field-by-field equality is equality in
     the group."""
 
-    prefix: tuple[tuple[int, int], ...]
-    tail: int
+    __slots__ = ("prefix", "tail")
+
+    def __init__(self, prefix: tuple[tuple[int, int], ...], tail: int):
+        _set(self, "prefix", prefix)
+        _set(self, "tail", tail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.prefix == other.prefix and self.tail == other.tail
+
+    def __hash__(self) -> int:
+        return hash((self.prefix, self.tail))
 
     @property
     def b_length(self) -> int:
@@ -252,11 +317,13 @@ class _Builder:
     def push_b(self, e: int) -> None:
         """Cross b^e, e = +-1: a^t b^e = a^{t0} b^e a^{d q} with t = c q + t0,
         where (c, d) = (m, n) for b and (n, m) for b^-1.  When t0 = 0 right
-        after b^-e, that is the pinch b^-e a^{c q} b^e = a^{d q}."""
+        after b^-e, that is the pinch b^-e a^{c q} b^e = a^{d q}.  Negating
+        both c and d leaves d q unchanged, so one divmod by |c| does."""
         c, d = (self.m, self.n) if e == 1 else (self.n, self.m)
+        if c < 0:
+            c, d = -c, -d
         prefix = self.prefix
-        t0 = self.tail % abs(c)
-        q = (self.tail - t0) // c
+        q, t0 = divmod(self.tail, c)
         if t0 == 0 and prefix and prefix[-1][1] == -e:
             s, _ = prefix.pop()
             self.tail = s + d * q
@@ -347,10 +414,13 @@ def cyclically_reduce(g: NormalForm, G: BsPresentation) -> tuple[NormalForm, Nor
     while i < j:
         s, e = prefix[i]
         c, d = (G.m, G.n) if e == 1 else (G.n, G.m)
-        if prefix[j - 1][1] != -e or (tail + s) % c:
+        if prefix[j - 1][1] != -e:
+            break
+        q, t = divmod(tail + s, c)
+        if t:
             break
         # b^-e a^{tail + s} b^e = a^{(tail + s) / c * d}
-        tail = prefix[j - 1][0] + (tail + s) // c * d
+        tail = prefix[j - 1][0] + q * d
         i, j = i + 1, j - 1
     return NormalForm(prefix[:i], 0), NormalForm(prefix[i:j], tail)
 

@@ -67,6 +67,25 @@ def _bsrig(*argv):
     )
 
 
+def test_cli_import_leaves_selftest_for_its_command():
+    # modules new to this interpreter's own start-up set, so site hooks and
+    # the interpreter's version do not matter
+    probe = (
+        "import sys; before = set(sys.modules); import bsrig.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before))); "
+        "code = bsrig.cli.run(['selftest']); "
+        "print(code, 'bsrig.selftest' in sys.modules)"
+    )
+    proc = _bsrig("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    loaded = set(lines[0].split())
+    assert "bsrig.cli" in loaded
+    assert not loaded & {"dataclasses", "bsrig.selftest", "bsrig.oracles"}
+    assert lines[-2].endswith(" passed, 0 failed")
+    assert lines[-1] == "0 True"
+
+
 def test_main_prints_exact_integers_past_the_digit_limit(capsys):
     proc = _bsrig("-m", "bsrig.cli", "--group", "2,3", "profile", "b^10000")
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -295,3 +295,7 @@ def test_bimodule_sum_ordering():
         {"char": "2/3"},
         {"coset": "b", "l": 2, "r": 3},
     ]
+    # characters over unlike denominators still sort by angle
+    chars = [RootOfUnity.of(x, d) for x, d in ((3, 4), (1, 2), (2, 5), (1, 3), (5, 6), (0, 1))]
+    mixed = BimoduleSum.of(Irreducible.character(w) for w in chars)
+    assert [t.char for t in mixed.terms] == sorted(chars, key=lambda w: w.angle)

@@ -1,0 +1,81 @@
+"""The contract of the immutable value classes: what a frozen dataclass
+gave them, kept by the plain slots classes on ``words.Value``."""
+
+import copy
+import pickle
+
+import pytest
+
+from bsrig import (
+    BimoduleSum,
+    CosetProfile,
+    DoubleCoset,
+    Elliptic,
+    HeckeElement,
+    Hyperbolic,
+    Irreducible,
+    NormalForm,
+    RigidityVerdict,
+    RootOfUnity,
+    SignWitness,
+    TreeVertex,
+    bs,
+    parse_word,
+)
+
+REP = NormalForm(((0, 1),), 0)
+REP_TEXT = "NormalForm(prefix=((0, 1),), tail=0)"
+COSET = DoubleCoset(REP, CosetProfile(2, 3, 2))
+COSET_TEXT = f"DoubleCoset(representative={REP_TEXT}, profile=CosetProfile(l=2, r=3, L=2))"
+W, MU = RootOfUnity(1, 12), RootOfUnity(1, 18)
+
+# one value of each class with its dataclass-format repr; Irreducible and
+# RigidityVerdict are built from their keyword defaults
+VALUES = [
+    (bs(2, -3), "BsPresentation(n=2, m=-3, k=1, n0=2, m0=-3)"),
+    (parse_word("b a^2 B"), "GroupWord(syllables=(('b', 1), ('a', 2), ('b', -1)))"),
+    (NormalForm(((0, 1), (1, -1)), 2), "NormalForm(prefix=((0, 1), (1, -1)), tail=2)"),
+    (CosetProfile(4, 9, 4), "CosetProfile(l=4, r=9, L=4)"),
+    (COSET, COSET_TEXT),
+    (HeckeElement(((COSET, 2),)), f"HeckeElement(terms=(({COSET_TEXT}, 2),))"),
+    (TreeVertex(REP), f"TreeVertex(rep={REP_TEXT})"),
+    (Elliptic(REP), f"Elliptic(witness={REP_TEXT})"),
+    (Hyperbolic(2), "Hyperbolic(translation_length=2)"),
+    (Irreducible(), "Irreducible(char=None, coset=None)"),
+    (
+        BimoduleSum((Irreducible(char=W), Irreducible(coset=COSET))),
+        "BimoduleSum(terms=(Irreducible(char=RootOfUnity(num=1, den=12), coset=None), "
+        f"Irreducible(char=None, coset={COSET_TEXT})))",
+    ),
+    (
+        SignWitness(1, W, MU),
+        "SignWitness(t=1, omega=RootOfUnity(num=1, den=12), mu=RootOfUnity(num=1, den=18))",
+    ),
+    (RigidityVerdict("n_mismatch"), "RigidityVerdict(kind='n_mismatch', witness=None)"),
+]
+
+
+@pytest.mark.parametrize("value, text", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_contract(value, text):
+    cls = type(value)
+    names = cls.__slots__
+    fields = tuple(getattr(value, name) for name in names)
+    assert repr(value) == text
+    # equal by fields, by position or keyword, and only within the class
+    assert cls(*fields) == value and cls(**dict(zip(names, fields))) == value
+    twin = type(f"Twin{cls.__name__}", (cls,), {"__slots__": ()})(*fields)
+    assert value != fields and value != twin and twin != value
+    assert value.__eq__(fields) is NotImplemented
+    assert hash(value) == hash(fields) == hash(cls(*fields))
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == fields
+    assert pickle.loads(pickle.dumps(value)) == value and copy.copy(value) == value
+
+
+def test_classes_with_equal_fields_stay_apart():
+    assert TreeVertex(REP) != Elliptic(REP)
+    assert len({TreeVertex(REP), Elliptic(REP), TreeVertex(NormalForm(((0, 1),), 0))}) == 2
