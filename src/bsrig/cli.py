@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from typing import Callable, NamedTuple
@@ -134,9 +133,7 @@ def _fuse_selfinv(a, G):
 def _exchange(a, G):
     w = _parse_root(a.root)
     partners = fusion.exchange_partners(w, word_nf(a.word, G), G)
-    # by angle, as the integer numerators over the common denominator
-    common = math.lcm(*(u.den for u in partners))
-    partners = sorted(partners, key=lambda u: u.num * (common // u.den))
+    partners = sorted(partners, key=fusion.angle_key(partners))
     return [str(u) for u in partners], " ".join(str(u) for u in partners)
 
 

@@ -20,7 +20,6 @@ criterion for moving a character across K_g is w^{r(g)} = u^{L(g)}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -30,6 +29,7 @@ from .hecke import DoubleCoset, coset_profile, double_coset
 __all__ = [
     "RootOfUnity",
     "ONE",
+    "angle_key",
     "Irreducible",
     "BimoduleSum",
     "omega_member",
@@ -72,10 +72,6 @@ class RootOfUnity:
         return RootOfUnity(num // q, den // q)
 
     @property
-    def angle(self) -> Fraction:
-        return Fraction(self._num, self._den)
-
-    @property
     def is_one(self) -> bool:
         return self._num == 0
 
@@ -98,6 +94,13 @@ class RootOfUnity:
 
 
 ONE = RootOfUnity(0, 1)
+
+
+def angle_key(roots):
+    """A sort key that orders the given roots by angle: each root's
+    numerator over their common denominator, an exact integer."""
+    scale = lcm(*(w.den for w in roots))
+    return lambda w: w.num * (scale // w.den)
 
 
 def omega_member(w: RootOfUnity, G: BsPresentation) -> bool:
@@ -123,7 +126,7 @@ def enumerate_omega(G: BsPresentation, max_den: int) -> list[RootOfUnity]:
         for num in range(1, den):
             if gcd(num, den) == 1:
                 out.append(RootOfUnity(num, den))
-    out.sort(key=lambda w: w.angle)
+    out.sort(key=angle_key(out))
     return out
 
 
@@ -135,14 +138,6 @@ class Irreducible(Value):
     def __init__(self, char: RootOfUnity | None = None, coset: DoubleCoset | None = None):
         _set(self, "char", char)
         _set(self, "coset", coset)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.char == other.char and self.coset == other.coset
-
-    def __hash__(self) -> int:
-        return hash((self.char, self.coset))
 
     @staticmethod
     def character(w: RootOfUnity) -> "Irreducible":
@@ -196,25 +191,16 @@ class BimoduleSum(Value):
     def __init__(self, terms: tuple[Irreducible, ...]):
         _set(self, "terms", terms)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
-
     @staticmethod
     def of(terms) -> "BimoduleSum":
         """The canonical order: characters first, by angle, then coset
-        modules by representative.  The angles num/den are compared as the
-        integers num * (scale // den) over the common denominator scale."""
+        modules by representative."""
         terms = list(terms)
-        scale = lcm(*(t.char.den for t in terms if t.char is not None))
+        angle = angle_key(t.char for t in terms if t.char is not None)
 
         def key(t: Irreducible) -> tuple:
             if t.char is not None:
-                return (0, t.char.num * (scale // t.char.den))
+                return (0, angle(t.char))
             return (1, t.coset.sort_key())
 
         terms.sort(key=key)

@@ -61,14 +61,6 @@ class CosetProfile(Value):
         _set(self, "r", r)
         _set(self, "L", L)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.l == other.l and self.r == other.r and self.L == other.L
-
-    def __hash__(self) -> int:
-        return hash((self.l, self.r, self.L))
-
     def as_json(self) -> dict:
         return {"l": self.l, "r": self.r, "L": self.L}
 
@@ -173,14 +165,6 @@ class DoubleCoset(Value):
         _set(self, "representative", representative)
         _set(self, "profile", profile)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.representative == other.representative and self.profile == other.profile
-
-    def __hash__(self) -> int:
-        return hash((self.representative, self.profile))
-
     @property
     def is_unit(self) -> bool:
         return not self.representative.prefix
@@ -234,14 +218,6 @@ class HeckeElement(Value):
 
     def __init__(self, terms: tuple[tuple[DoubleCoset, int], ...]):
         _set(self, "terms", terms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
 
     @staticmethod
     def from_dict(coeffs: dict[DoubleCoset, int]) -> "HeckeElement":

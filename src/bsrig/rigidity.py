@@ -19,7 +19,6 @@ A verdict of no_obstruction asserts nothing beyond the test not applying.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .words import InternalError, Value, _set, bs
@@ -56,14 +55,6 @@ class SignWitness(Value):
         _set(self, "omega", omega)
         _set(self, "mu", mu)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.t == other.t and self.omega == other.omega and self.mu == other.mu
-
-    def __hash__(self) -> int:
-        return hash((self.t, self.omega, self.mu))
-
     def as_json(self) -> dict:
         return {"t": self.t, "omega": str(self.omega), "mu": str(self.mu)}
 
@@ -74,14 +65,6 @@ class RigidityVerdict(Value):
     def __init__(self, kind: str, witness: SignWitness | None = None):
         _set(self, "kind", kind)
         _set(self, "witness", witness)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.witness == other.witness
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.witness))
 
     def as_json(self) -> dict:
         out: dict = {"verdict": self.kind}
@@ -121,20 +104,25 @@ def recover_parameters(profiles) -> tuple[int, int]:
     n is the least l-value above 1.  The ratios l/r all lie in the cyclic
     group generated by n/|m|; the largest sampled ratio below 1 is that
     generator, so |m| = n divided by it.  When every ratio is 1 the group
-    has n = |m|.  Rejects samples holding no l > 1.
+    has n = |m|.  Ratios are compared by cross-multiplying the positive
+    indices.  Rejects samples holding no l > 1.
     """
     pairs = set(profiles)
     ls = {l for l, _ in pairs if l > 1}
     if not ls:
         raise ValueError("sample contains no profile with l > 1")
     n = min(ls)
-    ratios = {Fraction(l, r) for l, r in pairs}
-    below = [q for q in ratios if q < 1]
-    rho = max(below) if below else Fraction(1)
-    abs_m = Fraction(n) / rho
-    if abs_m.denominator != 1:
-        raise ValueError(f"sampled ratios are inconsistent: n={n}, generator={rho}")
-    return n, abs_m.numerator
+    p, q = 0, 1  # the largest ratio p/q below 1; 0/1 while there is none
+    for l, r in pairs:
+        if l < r and l * q > p * r:
+            p, q = l, r
+    if not p:
+        return n, n
+    abs_m, rest = divmod(n * q, p)
+    if rest:
+        g = gcd(p, q)
+        raise ValueError(f"sampled ratios are inconsistent: n={n}, generator={p // g}/{q // g}")
+    return n, abs_m
 
 
 def sign_witness(n: int, m: int) -> SignWitness:

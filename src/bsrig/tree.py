@@ -53,14 +53,6 @@ class TreeVertex(Value):
     def __init__(self, rep: NormalForm):  # rep.tail = 0
         _set(self, "rep", rep)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rep == other.rep
-
-    def __hash__(self) -> int:
-        return hash((self.rep,))
-
     def __str__(self) -> str:
         return format_word(self.rep)
 
@@ -116,28 +108,12 @@ class Elliptic(Value):
     def __init__(self, witness: NormalForm):  # witness^-1 g witness lies in <a>
         _set(self, "witness", witness)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.witness == other.witness
-
-    def __hash__(self) -> int:
-        return hash((self.witness,))
-
 
 class Hyperbolic(Value):
     __slots__ = ("translation_length",)
 
     def __init__(self, translation_length: int):
         _set(self, "translation_length", translation_length)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.translation_length == other.translation_length
-
-    def __hash__(self) -> int:
-        return hash((self.translation_length,))
 
 
 def classify(g: NormalForm, G: BsPresentation) -> Elliptic | Hyperbolic:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 import sys
 from math import gcd
+from operator import attrgetter
 
 __all__ = [
     "BsPresentation",
@@ -69,16 +70,33 @@ class Value:
     """Base of the immutable value classes: plain ``__slots__`` classes with
     the behaviour of a frozen dataclass at a fraction of its import cost.
 
-    A subclass lists its fields in ``__slots__`` and writes its own
-    ``__init__`` (storing each field with ``_set``), ``__eq__`` (true only
-    against its own class with equal fields, compared one by one) and
-    ``__hash__`` (the hash of the field tuple); spelled out per class, they
-    cost no more per call than generated ones.  The base refuses assignment
-    and deletion with AttributeError and gives the ``Cls(field=value, ...)``
-    repr and pickling by the field tuple.
+    A subclass writes only its ``__slots__`` (the fields, in order) and its
+    ``__init__``, which stores each field with ``_set``; the base derives
+    everything else from the slots.  Equality holds only within the same
+    class, field by field, and a value hashes as the tuple of its fields.
+    Assignment and deletion raise AttributeError, the repr reads
+    ``Cls(field=value, ...)`` and pickling and copying go by the field
+    tuple.  A subclass with ``__slots__ = ()`` keeps its parent's equality
+    and hash.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if not cls.__slots__:
+            return
+        fields = attrgetter(*cls.__slots__)  # the bare value for one field
+        single = len(cls.__slots__) == 1
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return fields(self) == fields(other)
+
+        def __hash__(self):
+            return hash((fields(self),) if single else fields(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -108,17 +126,6 @@ class BsPresentation(Value):
         _set(self, "k", k)
         _set(self, "n0", n0)
         _set(self, "m0", m0)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.n == other.n and self.m == other.m and self.k == other.k
-            and self.n0 == other.n0 and self.m0 == other.m0
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m, self.k, self.n0, self.m0))
 
     @property
     def is_standard(self) -> bool:
@@ -151,14 +158,6 @@ class GroupWord(Value):
 
     def __init__(self, syllables: tuple[tuple[str, int], ...]):
         _set(self, "syllables", syllables)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.syllables == other.syllables
-
-    def __hash__(self) -> int:
-        return hash((self.syllables,))
 
     @staticmethod
     def of(items) -> "GroupWord":
@@ -193,14 +192,6 @@ class NormalForm(Value):
     def __init__(self, prefix: tuple[tuple[int, int], ...], tail: int):
         _set(self, "prefix", prefix)
         _set(self, "tail", tail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.prefix == other.prefix and self.tail == other.tail
-
-    def __hash__(self) -> int:
-        return hash((self.prefix, self.tail))
 
     @property
     def b_length(self) -> int:

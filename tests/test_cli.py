@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -148,7 +149,7 @@ def test_exchange_lists_partners_by_angle(capsys):
         code, out, _ = invoke(capsys, "--group", "2,3", "exchange", "--", root, word)
         p, q = map(int, root.split("/"))
         partners = oracle_exchange_partners(RootOfUnity.of(p, q), word_nf(word, G), G)
-        want = " ".join(str(u) for u in sorted(partners, key=lambda u: u.angle))
+        want = " ".join(str(u) for u in sorted(partners, key=lambda u: Fraction(u.num, u.den)))
         assert (code, out) == (0, want + "\n")
 
 

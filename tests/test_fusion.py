@@ -87,6 +87,7 @@ def test_omega_membership():
 def test_omega_closed_under_product_and_inverse():
     pool = enumerate_omega(G23, 36)
     assert RootOfUnity.of(1, 12) in pool
+    assert pool == sorted(pool, key=lambda w: Fraction(w.num, w.den))
     rng = random.Random(28)
     for _ in range(100):
         w, u = rng.choice(pool), rng.choice(pool)
@@ -298,4 +299,4 @@ def test_bimodule_sum_ordering():
     # characters over unlike denominators still sort by angle
     chars = [RootOfUnity.of(x, d) for x, d in ((3, 4), (1, 2), (2, 5), (1, 3), (5, 6), (0, 1))]
     mixed = BimoduleSum.of(Irreducible.character(w) for w in chars)
-    assert [t.char for t in mixed.terms] == sorted(chars, key=lambda w: w.angle)
+    assert [t.char for t in mixed.terms] == sorted(chars, key=lambda w: Fraction(w.num, w.den))

@@ -62,7 +62,8 @@ def test_root_of_unity_of_is_the_angle_mod_one(p, q):
         code, out, err = _run(["--group", "2,3", "exchange", "--", f"{p}/{q}", "b"])
         assert (code, out) == (1, "") and "expected a fraction" in err
         return
-    assert RootOfUnity.of(p, q).angle == Fraction(p, q) % 1
+    w = RootOfUnity.of(p, q)
+    assert Fraction(w.num, w.den) == Fraction(p, q) % 1
 
 
 # the word alphabet, other ASCII, Unicode whitespace and digits, and letters

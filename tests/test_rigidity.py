@@ -95,6 +95,10 @@ def test_recover_parameters_examples():
     assert recover_parameters({(4, 6), (6, 4)}) == (4, 6)
     with pytest.raises(ValueError):
         recover_parameters({(1, 1)})
+    # 3/4 is the largest ratio below 1, and 2 * 4/3 is no integer
+    for sample in ({(3, 4), (2, 5)}, {(6, 8), (2, 5)}):
+        with pytest.raises(ValueError, match=r"^sampled ratios are inconsistent: n=2, generator=3/4$"):
+            recover_parameters(sample)
 
 
 def test_recover_parameters_from_sampled_profiles():

@@ -28,7 +28,7 @@ from bsrig.oracles import (
     random_word,
     with_inserted_relator,
 )
-from bsrig.words import _scan
+from bsrig.words import Value, _scan, _set
 
 G23 = bs(2, 3)
 GROUPS = [bs(2, 3), bs(2, -2), bs(3, 6), bs(1, 2)]
@@ -43,6 +43,39 @@ def test_presentation_derived_fields():
     assert not bs(3, 2).is_standard
     with pytest.raises(ValueError):
         bs(0, 3)
+
+
+class _Single(Value):
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        _set(self, "x", x)
+
+
+class _Triple(Value):
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x, y, z):
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
+
+
+@pytest.mark.parametrize("cls, fields", [(_Single, (7,)), (_Triple, ("u", (1, 2), None))])
+def test_value_derives_equality_and_hash_from_its_slots(cls, fields):
+    value = cls(*fields)
+    assert value == cls(*fields) and not value != cls(*fields)
+    assert len({value, cls(*fields)}) == 1
+    for i in range(len(fields)):
+        assert value != cls(*fields[:i], (fields[i],), *fields[i + 1 :])
+    # a fieldless subclass keeps its parent's methods, yet only equals its own class
+    twin_cls = type("Twin", (cls,), {"__slots__": ()})
+    twin = twin_cls(*fields)
+    assert (twin_cls.__eq__, twin_cls.__hash__) == (cls.__eq__, cls.__hash__)
+    assert twin == twin_cls(*fields) and value != twin and twin != value
+    assert value != fields and fields != value
+    # the hash of the field tuple, also for one field
+    assert hash(value) == hash(fields) == hash(twin)
 
 
 def test_parse_examples():
