@@ -295,10 +295,16 @@ def _attach_group(argv: list[str]) -> list[str]:
     so that argparse does not read a negative n such as ``-2,3`` as an
     option."""
     end = argv.index("--") if "--" in argv else len(argv)
-    for i in range(end - 1):
-        if argv[i] == "--group" and _PAIR.fullmatch(argv[i + 1]):
-            return [*argv[:i], f"--group={argv[i + 1]}", *_attach_group(argv[i + 2 :])]
-    return argv
+    out = []
+    i = 0
+    while i < end:
+        if argv[i] == "--group" and i + 1 < end and _PAIR.fullmatch(argv[i + 1]):
+            out.append(f"--group={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out + argv[end:]
 
 
 def _dispatch(argv: list[str]) -> int:

@@ -23,8 +23,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import attrgetter
 
-from .words import BsPresentation, InternalError, NormalForm, Value, _set, a_power, invert, multiply
-from .hecke import DoubleCoset, coset_profile, double_coset
+from .words import BsPresentation, InternalError, NormalForm, Value, _set
+from .hecke import DoubleCoset, coset_profile
 
 __all__ = [
     "RootOfUnity",
@@ -232,23 +232,31 @@ def decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
     collapses to b a^3 b^-1 with r = 3 < 9) breaks the dimension count, and
     the true summand there is a strictly larger induced module.  Elements
     with a collapsing conjugate are rejected rather than mislabeled.
+
+    The conjugates are P a^i P^-1, P the prefix of g, walked by residue
+    class of i as in hecke_convolve.  Pinching classes come first, and the
+    walk stops at the first double coset whose r differs from r(g), which
+    the refusal names.
     """
+    from .candidates import residue_walk  # compiled only once a decomposition is asked for
+
     G.require_standard("self-inverse decomposition")
     p = coset_profile(g, G)
     terms = []
     for i in range(p.r):
         q = gcd(i, p.r)
         terms.append(Irreducible.character(RootOfUnity(i // q, p.r // q)))
-    ginv = invert(g, G)
-    for i in range(1, p.l):
-        conj = multiply(multiply(g, a_power(i), G), ginv, G)
-        D = double_coset(conj, G)
+    P = g.prefix
+    # P = a^s1 b^e1 ... a^sk b^ek, so P^-1 is the letters a^0 b^-ek,
+    # a^-sk b^-e(k-1), ..., a^-s2 b^-e1, then a^-s1, which moves only the tail
+    inverse = [(-s, -e) for s, (_, e) in zip((0, *(s for s, _ in reversed(P))), reversed(P))]
+    for D, count in residue_walk(P, 1, p.l - 1, inverse, G):
         if D.profile.r != p.r:
             raise ValueError(
-                f"labeled decomposition does not close for {g}: the conjugate "
-                f"at i={i} has r={D.profile.r} instead of r(g)={p.r}"
+                f"labeled decomposition does not close for {g}: the conjugates "
+                f"in <a> {D} <a> have r={D.profile.r} instead of r(g)={p.r}"
             )
-        terms.append(Irreducible.coset_module(D))
+        terms += [Irreducible.coset_module(D)] * count
     out = BimoduleSum.of(terms)
     if out.left_dim != p.l * p.r or out.right_dim != p.l * p.r:
         raise InternalError("internal error: dimension bookkeeping is inconsistent")

@@ -20,6 +20,9 @@ divisibility cascade over the b-letters of g from the right, which decides
 the equation by Britton's lemma.  The set of
 values taken by l on the whole group is F + {1} where
 F = {k n0^s |m0|^t : s + t > 0}.
+
+Convolution and self-inverse fusion canonicalise their candidates by the
+residue walk of ``candidates``, which they alone import.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .words import (
     NormalForm,
     Value,
     _set,
-    a_power,
-    multiply,
     nf_sort_key,
 )
 
@@ -65,29 +66,36 @@ class CosetProfile(Value):
         return {"l": self.l, "r": self.r, "L": self.L}
 
 
-def _least_translate(g: NormalForm, G: BsPresentation) -> tuple[tuple, int, CosetProfile]:
-    """The translate pass of the module docstring: the prefix of the least
-    tail-zeroed translate a^i g, an i reaching it, and the profile of g."""
-    i, x, R, S = 0, 0, 1, 1
-    prefix = []
-    for s, e in g.prefix:
-        num, den = (G.n, G.m) if e == 1 else (G.m, G.n)
+def _translate(letters, G: BsPresentation, i: int = 0, x: int = 0, R: int = 1, S: int = 1):
+    """The translate pass of the module docstring over the (s, e) letters
+    of a normal form's prefix, resumed from the state (i, x, R, S) after
+    the letters before them: the digits (t, e) of the least tail-zeroed
+    translate, and the state after the last letter."""
+    n, m = G.n, G.m
+    digits = []
+    for s, e in letters:
+        num, den = (n, m) if e == 1 else (m, n)
         x += s
         d = gcd(S, den)
         q = abs(den) // d
         t = x % d
         y = (t - x) // d * pow(S // d, -1, q) % q
-        prefix.append((t, e))
+        digits.append((t, e))
         i += R * y
         R *= q
         # x + S y - t is a multiple of den as a whole; x alone need not be
         x = (x + S * y - t) // den * num
         S = S // d * (num if den > 0 else -num)
+    return digits, i, x, R, S
+
+
+def _profile(g: NormalForm, R: int, S: int, G: BsPresentation) -> CosetProfile:
+    """The profile (|S|, R, S) that a translate pass over g ended with."""
     profile = CosetProfile(abs(S), R, S)
     # postcondition g a^L g^-1 = a^r, decided by the conjugation cascade
     if _conjugate_exponent(g, profile.L, G) != profile.r:
         raise InternalError(f"internal error: profile {profile} fails verification for {g}")
-    return tuple(prefix), i, profile
+    return profile
 
 
 def _conjugate_exponent(g: NormalForm, z: int, G: BsPresentation) -> int | None:
@@ -111,7 +119,8 @@ def _conjugate_exponent(g: NormalForm, z: int, G: BsPresentation) -> int | None:
 def coset_profile(g: NormalForm, G: BsPresentation) -> CosetProfile:
     """(l(g), r(g), L(g)) by the translate pass: the translates with the
     least prefix are a^{i + r(g) y}, and a^{r(g)} g = g a^{L(g)}."""
-    return _least_translate(g, G)[2]
+    _, _, _, R, S = _translate(g.prefix, G)
+    return _profile(g, R, S, G)
 
 
 def f_set_member(z: int, G: BsPresentation) -> bool:
@@ -179,11 +188,35 @@ class DoubleCoset(Value):
 def double_coset(g: NormalForm, G: BsPresentation) -> DoubleCoset:
     """<a> g <a>, its representative chosen digit by digit from the left by
     the translate pass, in O(b-length) arithmetic steps."""
-    prefix, i, profile = _least_translate(g, G)
-    # postcondition: the translate a^i g has the chosen prefix
-    if multiply(a_power(i), g, G).prefix != prefix:
-        raise InternalError(f"internal error: a^{i} {g} does not have prefix {prefix}")
-    return DoubleCoset(NormalForm(prefix, 0), profile)
+    digits, i, _, R, S = _translate(g.prefix, G)
+    return _coset(g.prefix, i, tuple(digits), R, S, G)
+
+
+def _coset(letters: tuple, i: int, digits: tuple, R: int, S: int, G: BsPresentation) -> DoubleCoset:
+    """The double coset of the prefix ``letters`` whose translate pass chose
+    ``digits`` at the translate a^i and ended with (R, S)."""
+    rep = NormalForm(digits, 0)
+    profile = _profile(rep, R, S, G)
+    # postcondition: the translate a^i g has the chosen prefix.  a^i only
+    # carries through the b-letters of g, as push_b would with no pinch:
+    # the carry out of b^e is a multiple of the c that would pinch b^-e
+    up, down = _carries(G)
+    tail = i
+    for (s, e), (t, _) in zip(letters, digits):
+        c, d = up if e == 1 else down
+        q, t0 = divmod(tail + s, c)
+        if t0 != t:
+            g = NormalForm(letters, 0)
+            raise InternalError(f"internal error: a^{i} {g} does not have prefix {digits}")
+        tail = d * q
+    return DoubleCoset(rep, profile)
+
+
+def _carries(G: BsPresentation) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(c, d) with c > 0 for b and for b^-1: a^t b^e = a^{t mod c} b^e
+    a^{d (t div c)}, as push_b crosses them."""
+    n, m = G.n, G.m
+    return (m, n) if m > 0 else (-m, -n), (n, m) if n > 0 else (-n, -m)
 
 
 def same_double_coset(g: NormalForm, h: NormalForm, G: BsPresentation) -> bool:
@@ -252,19 +285,21 @@ def hecke_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> Hecke
     The double coset of d a^i e only depends on i mod g, g = gcd(l(d),
     r(e)): d a^{i + L(d)} e = a^{r(d)} d a^i e with |L(d)| = l(d), and
     d a^{i + r(e)} e = d a^i e a^{L(e)}.  So the count over i < l(d) is
-    l(d) / g times the count over i < g, and only g candidates are
-    canonicalised: one for d = b^16, e = a, all l(d) for e = d^-1.
+    l(d) / g times the count over i < g.  The g candidates are counted by
+    one residue walk, which canonicalises each class of candidates sharing
+    a prefix once: one leaf for d = b^16, e = a, at most l(d) for e = d^-1.
     """
+    from .candidates import residue_walk  # compiled only once a product is taken
+
     acc: dict[DoubleCoset, int] = {}
     for D, cD in x.terms:
         d = D.representative
         for E, cE in y.terms:
             e = E.representative
             period = gcd(D.profile.l, E.profile.r)
-            hits = Counter(
-                double_coset(multiply(multiply(d, a_power(i), G), e, G), G)
-                for i in range(period)
-            )
+            hits = Counter()
+            for F, count in residue_walk(d.prefix, 0, period, e.prefix, G):
+                hits[F] += count
             for F, count in hits.items():
                 c, rem = divmod(E.profile.l * count * (D.profile.l // period), F.profile.l)
                 if rem:

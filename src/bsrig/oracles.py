@@ -11,6 +11,10 @@ The double coset oracle scans all r(g) left translates a^i g for the
 least tail-zeroed one, instead of choosing the representative digit by
 digit.  The convolution oracle counts Hecke coefficients from their
 definition, one scan canonicalisation per (candidate, right coset) pair.
+The candidate oracles build each candidate d a^i e of a convolution, or
+each conjugate g a^i g^-1 of a self-inverse decomposition, by two products
+and canonicalise it on its own, instead of walking the candidates by
+residue class with a shared prefix.
 The exchange oracle solves L * angle(u) = r * angle(w) mod 1 in Fraction
 arithmetic, one division per solution, instead of listing integer residues.
 The commutation oracle decides g a^z = a^y g by comparing two products
@@ -22,13 +26,16 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
-from .fusion import RootOfUnity, omega_member
-from .hecke import DoubleCoset, HeckeElement, coset_profile
+from .fusion import BimoduleSum, Irreducible, RootOfUnity, omega_member
+from .hecke import DoubleCoset, HeckeElement, coset_profile, double_coset
 from .words import (
     BsPresentation,
     GroupWord,
+    InternalError,
     NormalForm,
     WordSyntaxError,
     a_power,
@@ -50,6 +57,8 @@ __all__ = [
     "modular_ratio",
     "scan_double_coset",
     "oracle_convolve",
+    "oracle_candidate_convolve",
+    "oracle_decompose_self_inverse",
     "oracle_exchange_partners",
     "random_word",
     "random_nf",
@@ -220,6 +229,55 @@ def oracle_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> Heck
                 if count:
                     acc[F] = acc.get(F, 0) + cD * cE * count
     return HeckeElement.from_dict(acc)
+
+
+def oracle_candidate_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> HeckeElement:
+    """hecke_convolve with each of the gcd(l(d), r(e)) candidates d a^i e
+    built by two products and canonicalised on its own."""
+    acc: dict[DoubleCoset, int] = {}
+    for D, cD in x.terms:
+        d = D.representative
+        for E, cE in y.terms:
+            e = E.representative
+            period = gcd(D.profile.l, E.profile.r)
+            hits = Counter(
+                double_coset(multiply(multiply(d, a_power(i), G), e, G), G)
+                for i in range(period)
+            )
+            for F, count in hits.items():
+                c, rem = divmod(E.profile.l * count * (D.profile.l // period), F.profile.l)
+                if rem:
+                    raise InternalError(
+                        f"internal error: coefficient of {F} in {D} * {E} is not an integer"
+                    )
+                acc[F] = acc.get(F, 0) + cD * cE * c
+    return HeckeElement.from_dict(acc)
+
+
+def oracle_decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
+    """decompose_self_inverse with each conjugate g a^i g^-1, 0 < i < l(g),
+    built by two products and canonicalised in order of i; it refuses at
+    the first i whose conjugate has r != r(g), and names that i."""
+    G.require_standard("self-inverse decomposition")
+    p = coset_profile(g, G)
+    terms = []
+    for i in range(p.r):
+        q = gcd(i, p.r)
+        terms.append(Irreducible.character(RootOfUnity(i // q, p.r // q)))
+    ginv = invert(g, G)
+    for i in range(1, p.l):
+        conj = multiply(multiply(g, a_power(i), G), ginv, G)
+        D = double_coset(conj, G)
+        if D.profile.r != p.r:
+            raise ValueError(
+                f"labeled decomposition does not close for {g}: the conjugate "
+                f"at i={i} has r={D.profile.r} instead of r(g)={p.r}"
+            )
+        terms.append(Irreducible.coset_module(D))
+    out = BimoduleSum.of(terms)
+    if out.left_dim != p.l * p.r or out.right_dim != p.l * p.r:
+        raise InternalError("internal error: dimension bookkeeping is inconsistent")
+    return out
 
 
 def oracle_exchange_partners(w: RootOfUnity, g: NormalForm, G: BsPresentation) -> set[RootOfUnity]:

@@ -104,6 +104,13 @@ def test_negative_group_as_a_separate_argument(capsys):
     assert invoke(capsys, "--group", "-2,-3", "profile", "b")[:2] == (0, '{"l":2,"r":3,"L":2}\n')
 
 
+def test_many_separate_group_arguments(capsys):
+    # each --group V is attached in one loop, not one call deep per pair
+    once = invoke(capsys, "--group", "-2,3", "profile", "b")
+    assert once[0] == 0
+    assert invoke(capsys, *["--group", "-2,3"] * 2000, "profile", "b") == once
+
+
 def test_fixed_says_whether_absence_is_proven(capsys):
     # the common fixed vertex b a b a b^-1 lies at distance 2 from the first
     # word's witness vertex; radius 3 = max b-length // 2 proves absence

@@ -82,6 +82,8 @@ def test_cli_import_leaves_selftest_for_its_command():
     loaded = set(lines[0].split())
     assert "bsrig.cli" in loaded
     assert not loaded & {"dataclasses", "bsrig.selftest", "bsrig.oracles"}
+    # the candidate walk is compiled only when a product or fusion runs
+    assert "bsrig.candidates" not in loaded
     # the library keeps exact ratios in integers, off the fractions module
     assert not loaded & {"fractions", "decimal", "numbers"}
     assert lines[-2].endswith(" passed, 0 failed")

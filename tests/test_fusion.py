@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +12,7 @@ from bsrig import (
     RootOfUnity,
     SignWitness,
     bs,
+    candidates,
     coset_profile,
     decompose_self_inverse,
     double_coset,
@@ -18,11 +20,12 @@ from bsrig import (
     exchange_partners,
     invert,
     isomorphic,
+    multiply,
     omega_member,
     sign_witness,
     word_nf,
 )
-from bsrig.oracles import oracle_exchange_partners, random_nf
+from bsrig.oracles import oracle_decompose_self_inverse, oracle_exchange_partners, random_nf
 
 G23 = bs(2, 3)
 
@@ -184,13 +187,83 @@ def test_decompose_dimension_conservation_and_nonisomorphism():
 
 def test_decompose_rejects_collapsing_conjugates():
     # b^2 a^2 b^-2 collapses to b a^3 b^-1 whose index r = 3 differs from
-    # r(b^2) = 9, so the labeled sum cannot close
-    with pytest.raises(ValueError, match="does not close"):
+    # r(b^2) = 9, so the labeled sum cannot close; the refusal names that
+    # double coset
+    with pytest.raises(ValueError) as refusal:
         decompose_self_inverse(word_nf("b^2", G23), G23)
+    assert str(refusal.value) == (
+        "labeled decomposition does not close for b^2: "
+        "the conjugates in <a> b a b^-1 <a> have r=3 instead of r(g)=9"
+    )
     assert coset_profile(word_nf("b^2 a^2 b^-2", G23), G23).r == 3
     assert coset_profile(word_nf("b^2", G23), G23).r == 9
     with pytest.raises(ValueError):
         decompose_self_inverse(word_nf("b", bs(1, 2)), bs(1, 2))
+
+
+def _refusal(decompose, g, G):
+    """The ValueError with which decompose refuses g, or None."""
+    try:
+        decompose(g, G)
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def test_decompose_matches_the_conjugate_loop_oracle():
+    # the residue walk and the loop over i agree, refusals included: both
+    # refuse, and the coset the walk names is one of the conjugates, with
+    # r != r(g)
+    rng = random.Random(31)
+    refused = 0
+    for G in (bs(2, 3), bs(2, -3), bs(3, 4), bs(2, 2), bs(3, 6)):
+        for _ in range(60):
+            g = random_nf(rng, G, max_b=3, max_exp=12)
+            want = _refusal(oracle_decompose_self_inverse, g, G)
+            if want is None:
+                assert decompose_self_inverse(g, G) == oracle_decompose_self_inverse(g, G), (G, g)
+                continue
+            got = _refusal(decompose_self_inverse, g, G)
+            assert got is not None, (G, g)
+            assert str(got).startswith(f"labeled decomposition does not close for {g}: ")
+            named = double_coset(word_nf(re.search(r"in <a> (.*) <a> have", str(got))[1], G), G)
+            p = coset_profile(g, G)
+            assert named.profile.r != p.r
+            i = int(re.search(r"at i=(\d+)", str(want))[1])
+            conjugates = {
+                double_coset(multiply(multiply(g, word_nf(f"a^{j}", G), G), invert(g, G), G), G)
+                for j in range(1, p.l)
+            }
+            assert named in conjugates and 0 < i < p.l
+            refused += 1
+    assert refused >= 50
+
+
+def test_refusals_stop_at_the_first_collapsing_leaf(monkeypatch):
+    # a refusal canonicalises no more leaves than the loop over i makes
+    # conjugates before it refuses: b^2 in BS(2,3), B^4 in BS(3,4) and the
+    # refused sign patterns of the coset ladder benchmark, each in all three
+    # of its groups
+    leaf = candidates._leaf
+    leaves = []
+    monkeypatch.setattr(candidates, "_leaf", lambda top, G: leaves.append(top) or leaf(top, G))
+    cases = [((2, 3), "b^2", 2), ((3, 4), "B^4", 4)]
+    ladder = (
+        "a b a b a^-29", "a^2 b a^2 b a^-12", "b^3 a^-17", "a b a^3 b^2 a^-6",
+        "b^-2 a^-24", "b^-1 a b^-1 a^9", "a^2 b^-2 a^43",
+    )
+    for n, m in ((2, 3), (2, -3), (3, 4)):
+        cases += [((n, m), text, None) for text in ladder]
+    for (n, m), text, at in cases:
+        G = bs(n, m)
+        g = word_nf(text, G)
+        want = _refusal(oracle_decompose_self_inverse, g, G)
+        assert want is not None, (G, text)
+        i = int(re.search(r"at i=(\d+)", str(want))[1])
+        assert at in (None, i)
+        leaves.clear()
+        assert _refusal(decompose_self_inverse, g, G) is not None
+        assert 1 <= len(leaves) <= i, (G, text, len(leaves), i)
 
 
 def test_exchange_partners_examples():

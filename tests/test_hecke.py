@@ -10,6 +10,7 @@ from bsrig import (
     IDENTITY,
     a_power,
     bs,
+    candidates,
     centralizes,
     coset_profile,
     decompose_self_inverse,
@@ -24,8 +25,16 @@ from bsrig import (
     qc_member,
     same_double_coset,
     word_nf,
+    words,
 )
-from bsrig.oracles import oracle_conjugates, oracle_convolve, oracle_profile, random_nf, scan_double_coset
+from bsrig.oracles import (
+    oracle_candidate_convolve,
+    oracle_conjugates,
+    oracle_convolve,
+    oracle_profile,
+    random_nf,
+    scan_double_coset,
+)
 from bsrig.words import InternalError
 
 G23 = bs(2, 3)
@@ -97,24 +106,44 @@ def test_conjugation_cascade_matches_the_product_oracle():
 
 
 def test_profile_and_double_coset_work_is_the_prefix_check(monkeypatch):
-    # the profile postcondition multiplies nothing; double_coset keeps one
-    # product, the check that a^i g has the chosen prefix
-    calls = 0
+    # neither the profile postcondition nor double_coset does group
+    # arithmetic: the check that a^i g has the chosen prefix is a carry
+    # pass, which still rejects a wrong translate index or digit
+    built = []
 
-    def counted(g, h, G):
-        nonlocal calls
-        calls += 1
-        return multiply(g, h, G)
+    class CountingBuilder(words._Builder):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr("bsrig.hecke.multiply", counted)
+    translate = hecke._translate
+
+    def off_by_one(letters, G):
+        digits, i, x, R, S = translate(letters, G)
+        return digits, i + 1, x, R, S
+
+    def bumped(letters, G):
+        digits, i, x, R, S = translate(letters, G)
+        (t, e), *rest = digits
+        return [(t + 1, e), *rest], i, x, R, S
+
     for G in (G23, bs(2, -3), bs(3, 4)):
         for text in ("a^5", "b", "B", "b^2 a B a^-1 b^3"):
             g = word_nf(text, G)
-            calls = 0
-            coset_profile(g, G)
-            assert calls == 0
-            double_coset(g, G)
-            assert calls == 1
+            with monkeypatch.context() as patch:
+                patch.setattr(words, "_Builder", CountingBuilder)
+                coset_profile(g, G)
+                double_coset(g, G)
+                assert built == []
+                multiply(g, g, G)  # the counter sees group arithmetic
+                assert len(built) == 1
+            built.clear()
+            if g.prefix:
+                for corrupt in (off_by_one, bumped):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(hecke, "_translate", corrupt)
+                        with pytest.raises(InternalError):
+                            double_coset(g, G)
 
 
 def test_profile_against_brute_search():
@@ -442,15 +471,33 @@ def test_convolution_matches_definition_oracle():
                 assert hecke_convolve(x, y, G) == oracle_convolve(x, y, G)
 
 
+def test_convolution_matches_the_candidate_loop():
+    # the residue walk against the loop that canonicalises each candidate
+    # d a^i e on its own, at b-length up to 3, and against the definition
+    rng = random.Random(32)
+    for G in (bs(2, 3), bs(2, -3), bs(3, 4), bs(2, 2), bs(3, 6)):
+        for k in range(40):
+            x = HeckeElement.single(double_coset(random_nf(rng, G, max_b=3, max_exp=12), G), rng.choice((1, -2)))
+            y = HeckeElement.from_dict({
+                double_coset(random_nf(rng, G, max_b=3, max_exp=12), G): rng.choice((1, 3))
+                for _ in range(2)
+            })
+            prod = hecke_convolve(x, y, G)
+            assert prod == oracle_candidate_convolve(x, y, G), (G, x, y)
+            if k < 8:
+                assert prod == oracle_convolve(x, y, G), (G, x, y)
+
+
 def test_convolution_work_follows_gcd(monkeypatch):
-    # only gcd(l(d), r(e)) candidates d a^i e are canonicalised
-    canonical = hecke.double_coset
+    # the walk canonicalises at most gcd(l(d), r(e)) leaves, one per class
+    # of candidates d a^i e sharing a prefix
+    leaf = candidates._leaf
 
     def convolve_counting(u, v):
         x, y = (HeckeElement.single(double_coset(word_nf(t, G23), G23)) for t in (u, v))
         calls = []
         with monkeypatch.context() as patch:
-            patch.setattr(hecke, "double_coset", lambda g, G: calls.append(g) or canonical(g, G))
+            patch.setattr(candidates, "_leaf", lambda top, G: calls.append(top) or leaf(top, G))
             return hecke_convolve(x, y, G23), len(calls)
 
     prod, calls = convolve_counting("b^16", "a")

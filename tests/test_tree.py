@@ -357,30 +357,46 @@ DIFFERENTIAL_GROUPS = [
 ]
 
 
+def _neighbor_steps(G):
+    """The steps (i, -1), i < |n|, then (j, 1), j < |m|, to a vertex's
+    neighbours v a^s b^e <a>."""
+    return [(i, -1) for i in range(abs(G.n))] + [(j, 1) for j in range(abs(G.m))]
+
+
 def _multiplied_neighbors(v, G):
     """vertex_neighbors by group multiplication: v a^i b^-1 <a> for i < |n|,
     then v a^j b <a> for j < |m|."""
-    steps = [(i, -1) for i in range(abs(G.n))] + [(j, 1) for j in range(abs(G.m))]
-    return [vertex_of(multiply(v.rep, NormalForm((step,), 0), G), G) for step in steps]
+    return [vertex_of(multiply(v.rep, NormalForm((step,), 0), G), G) for step in _neighbor_steps(G)]
 
 
 def _reference_ball(center, radius, G):
     """export_ball by the construction the rep-reading walk replaced: the
-    whole ball from multiplied neighbours, then each vertex v's |n| edges
-    v a^i <a^n>, kept where their range lies in the ball."""
+    whole ball from multiplied neighbours, each edge read off the product
+    that reached one of its ends.  Adjacent vertices lie at distances one
+    apart, so every edge of the ball has an end v inside the radius, where
+    the product g = v a^i b^-1 gives the edge v a^i <a^n> into g<a>, and
+    g = v a^j b the edge g<a^n> from g<a> into g b^-1 <a> = v <a>.  An edge
+    between two such ends comes once from each; each product is made and
+    each vertex and edge formatted once."""
+    steps = _neighbor_steps(G)
     ball = {center}
     sphere = [center]
+    edges = set()  # (source, range, edge)
     for _ in range(radius):
-        sphere = [w for v in sphere for w in _multiplied_neighbors(v, G) if w not in ball]
+        grown = []
+        for v in sphere:
+            for s, e in steps:
+                g = multiply(v.rep, NormalForm(((s, e),), 0), G)
+                w = vertex_of(g, G)
+                if w not in ball:
+                    grown.append(w)
+                edges.add((v, w, NormalForm(v.rep.prefix, s)) if e == -1 else (w, v, edge_of(g, G)))
+        sphere = grown
         ball.update(sphere)
-    edges = []
-    for v in ball:
-        for i in range(abs(G.n)):
-            e = edge_of(NormalForm(v.rep.prefix, i), G)
-            if edge_range(e, G) in ball:
-                edges.append((str(edge_source(e, G)), str(edge_range(e, G)), format_word(e)))
+    label = {v: str(v) for v in ball}
+    edges = [(label[src], label[dst], format_word(e)) for src, dst, e in edges]
     lines = ["digraph bass_serre_ball {"]
-    lines += [f'  "{label}";' for label in sorted(str(v) for v in ball)]
+    lines += [f'  "{text}";' for text in sorted(label.values())]
     lines += [f'  "{src}" -> "{dst}" [label="{lab}"];' for src, dst, lab in sorted(edges)]
     lines.append("}")
     return "\n".join(lines) + "\n"
