@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .hecke import DoubleCoset, _carries, _coset, _translate
-from .words import BsPresentation
+from .hecke import DoubleCoset, _coset, _translate
+from .words import BsPresentation, _carries
 
 __all__ = ["residue_walk"]
 

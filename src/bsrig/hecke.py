@@ -35,6 +35,7 @@ from .words import (
     InternalError,
     NormalForm,
     Value,
+    _carries,
     _set,
     nf_sort_key,
 )
@@ -198,8 +199,9 @@ def _coset(letters: tuple, i: int, digits: tuple, R: int, S: int, G: BsPresentat
     rep = NormalForm(digits, 0)
     profile = _profile(rep, R, S, G)
     # postcondition: the translate a^i g has the chosen prefix.  a^i only
-    # carries through the b-letters of g, as push_b would with no pinch:
-    # the carry out of b^e is a multiple of the c that would pinch b^-e
+    # carries through the b-letters of g, as in words._Builder.push when
+    # nothing pinches: the carry out of b^e is a multiple of the c that
+    # would pinch b^-e
     up, down = _carries(G)
     tail = i
     for (s, e), (t, _) in zip(letters, digits):
@@ -210,13 +212,6 @@ def _coset(letters: tuple, i: int, digits: tuple, R: int, S: int, G: BsPresentat
             raise InternalError(f"internal error: a^{i} {g} does not have prefix {digits}")
         tail = d * q
     return DoubleCoset(rep, profile)
-
-
-def _carries(G: BsPresentation) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(c, d) with c > 0 for b and for b^-1: a^t b^e = a^{t mod c} b^e
-    a^{d (t div c)}, as push_b crosses them."""
-    n, m = G.n, G.m
-    return (m, n) if m > 0 else (-m, -n), (n, m) if n > 0 else (-n, -m)
 
 
 def same_double_coset(g: NormalForm, h: NormalForm, G: BsPresentation) -> bool:

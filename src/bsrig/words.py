@@ -19,6 +19,10 @@ decides the word problem.  The number k of b-letters in the normal form
 is the b-length of the element.  All exponents are arbitrary-precision:
 each crossing multiplies a-powers by m/n or n/m and fixed-width integers
 would overflow silently.
+
+One crossing loop, ``_Builder.push``, appends a run of letters a^s b^e
+with the crossing table ``_carries``.  ``parse_word`` makes one pass to
+check the text and one to tokenize and merge; ``_scan`` locates errors.
 """
 
 from __future__ import annotations
@@ -218,10 +222,19 @@ _TERM = re.compile(r"(\S)(?:(\^)(-?)([0-9]*))?")
 
 _LETTERS = {"a": ("a", 1), "A": ("a", -1), "b": ("b", 1), "B": ("b", -1)}
 
+# exactly the texts _scan accepts.  No text needs a backtrack here, so the
+# possessive quantifiers of Python 3.11+ keep the language and spare the
+# check its backtracking state
+_P = "+" if sys.version_info >= (3, 11) else ""
+_WORD = re.compile(rf"(?:\s*{_P}(?:[aAbB](?:\^-?{_P}[0-9]+{_P})?{_P}|e))*{_P}\s*{_P}")
+# the tokens of a text _WORD accepts: a letter and its signed digits, if any
+_TOKEN = re.compile(r"([aAbB])(?:\^(-?[0-9]+))?")
+
 
 def _scan(text: str) -> list[tuple[str, int]]:
     """Tokenize ``letter power?`` terms over a, b (A = a^-1, B = b^-1).
-    Raises WordSyntaxError with the byte offset of the first bad character."""
+    Raises WordSyntaxError with the byte offset of the first bad character;
+    ``parse_word`` runs it only to locate that error."""
     out: list[tuple[str, int]] = []
     for term in _TERM.finditer(text):
         ch, caret, minus, digits = term.groups()
@@ -248,8 +261,24 @@ def _scan(text: str) -> list[tuple[str, int]]:
 def parse_word(text: str) -> GroupWord:
     """Parse a word over a, b (A = a^-1, B = b^-1, optional ^exponents,
     optional whitespace between terms) into a freely merged GroupWord.
-    Parsing never consults the group parameters."""
-    return GroupWord.of(_scan(text))
+    Parsing never consults the group parameters.  One fullmatch checks the
+    text, one findall tokenizes it and the same loop merges syllables."""
+    if _WORD.fullmatch(text):
+        stack: list[tuple[str, int]] = []
+        try:
+            for ch, digits in _TOKEN.findall(text):
+                letter, exp = _LETTERS[ch]
+                if digits:
+                    exp *= int(digits)
+                if stack and stack[-1][0] == letter:
+                    exp += stack.pop()[1]
+                if exp:
+                    stack.append((letter, exp))
+        except ValueError:  # only the interpreter's int-string limit rejects digits
+            pass
+        else:
+            return GroupWord(tuple(stack))
+    return GroupWord.of(_scan(text))  # raises at the first bad character
 
 
 def _fmt_syllable(letter: str, exp: int) -> str:
@@ -286,66 +315,58 @@ def inverse_word(w: GroupWord) -> GroupWord:
 # ---------------------------------------------------------------------------
 # normalization
 
+def _carries(G: BsPresentation) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(c, d) with c > 0 for b and for b^-1: a^t b^e = a^{t mod c} b^e
+    a^{d (t div c)}; negating c and d together leaves d (t div c) as it is."""
+    n, m = G.n, G.m
+    return (m, n) if m > 0 else (-m, -n), (n, m) if n > 0 else (-n, -m)
+
+
 class _Builder:
     """Mutable accumulator maintaining the right-pushed pinch-free invariant
     while letters are appended on the right."""
 
-    __slots__ = ("n", "m", "prefix", "tail")
+    __slots__ = ("up", "down", "prefix", "tail")
 
-    def __init__(self, G: BsPresentation, seed: NormalForm | None = None):
-        self.n = G.n
-        self.m = G.m
-        if seed is None:
-            self.prefix: list[tuple[int, int]] = []
-            self.tail = 0
-        else:
-            self.prefix = list(seed.prefix)
-            self.tail = seed.tail
+    def __init__(self, G: BsPresentation, seed: NormalForm = IDENTITY):
+        self.up, self.down = _carries(G)
+        self.prefix = list(seed.prefix)
+        self.tail = seed.tail
 
-    def push_a(self, z: int) -> None:
-        self.tail += z
-
-    def push_b(self, e: int) -> None:
-        """Cross b^e, e = +-1: a^t b^e = a^{t0} b^e a^{d q} with t = c q + t0,
-        where (c, d) = (m, n) for b and (n, m) for b^-1.  When t0 = 0 right
-        after b^-e, that is the pinch b^-e a^{c q} b^e = a^{d q}.  Negating
-        both c and d leaves d q unchanged, so one divmod by |c| does."""
-        c, d = (self.m, self.n) if e == 1 else (self.n, self.m)
-        if c < 0:
-            c, d = -c, -d
+    def push(self, letters, tail: int = 0) -> NormalForm:
+        """Append a^{s_1} b^{e_1} ... a^{s_k} b^{e_k} a^{tail}, given the
+        (s, e) letters, and return the normal form so far.  Crossing b^e
+        turns a^t b^e into a^{t0} b^e a^{d q} with t = c q + t0; when t0 = 0
+        right after b^-e, that is the pinch b^-e a^{c q} b^e = a^{d q}."""
+        up, down = self.up, self.down
         prefix = self.prefix
-        q, t0 = divmod(self.tail, c)
-        if t0 == 0 and prefix and prefix[-1][1] == -e:
-            s, _ = prefix.pop()
-            self.tail = s + d * q
-        else:
-            prefix.append((t0, e))
-            self.tail = d * q
-
-    def push_word(self, w: GroupWord) -> None:
-        for letter, exp in w.syllables:
-            if letter == "a":
-                self.push_a(exp)
+        t = self.tail
+        for s, e in letters:
+            c, d = up if e == 1 else down
+            q, t0 = divmod(t + s, c)
+            if t0 == 0 and prefix and prefix[-1][1] == -e:
+                t = prefix.pop()[0] + d * q
             else:
-                e = 1 if exp > 0 else -1
-                for _ in range(abs(exp)):
-                    self.push_b(e)
-
-    def push_normal(self, v: NormalForm) -> None:
-        for s, e in v.prefix:
-            self.push_a(s)
-            self.push_b(e)
-        self.push_a(v.tail)
-
-    def done(self) -> NormalForm:
-        return NormalForm(tuple(self.prefix), self.tail)
+                prefix.append((t0, e))
+                t = d * q
+        self.tail = t + tail
+        return NormalForm(tuple(prefix), self.tail)
 
 
 def normalize(w: GroupWord, G: BsPresentation) -> NormalForm:
-    """Rewrite a free word to its unique right-pushed pinch-free form."""
-    builder = _Builder(G)
-    builder.push_word(w)
-    return builder.done()
+    """Rewrite a free word to its unique right-pushed pinch-free form: b^k
+    is the letter (s, e) after the a-power s, then k - 1 letters (0, e)."""
+    letters: list[tuple[int, int]] = []
+    s = 0
+    for letter, exp in w.syllables:
+        if letter == "a":
+            s += exp
+        elif exp:
+            e = 1 if exp > 0 else -1
+            letters.append((s, e))
+            letters += [(0, e)] * (abs(exp) - 1)
+            s = 0
+    return _Builder(G).push(letters, s)
 
 
 def word_nf(text: str, G: BsPresentation) -> NormalForm:
@@ -354,18 +375,17 @@ def word_nf(text: str, G: BsPresentation) -> NormalForm:
 
 
 def multiply(u: NormalForm, v: NormalForm, G: BsPresentation) -> NormalForm:
-    builder = _Builder(G, seed=u)
-    builder.push_normal(v)
-    return builder.done()
+    return _Builder(G, seed=u).push(v.prefix, v.tail)
 
 
 def invert(u: NormalForm, G: BsPresentation) -> NormalForm:
-    builder = _Builder(G)
-    builder.push_a(-u.tail)
+    """a^{-t} b^{-e_k} a^{-s_k} ... b^{-e_1} a^{-s_1}, pushed as letters."""
+    letters = []
+    t = u.tail
     for s, e in reversed(u.prefix):
-        builder.push_b(-e)
-        builder.push_a(-s)
-    return builder.done()
+        letters.append((-t, -e))
+        t = s
+    return _Builder(G).push(letters, -t)
 
 
 def power(u: NormalForm, z: int, G: BsPresentation) -> NormalForm:
@@ -401,10 +421,11 @@ def cyclically_reduce(g: NormalForm, G: BsPresentation) -> tuple[NormalForm, Nor
     letters and the core its middle, sliced off with no multiplication.
     """
     prefix, tail = g.prefix, g.tail
+    up, down = _carries(G)
     i, j = 0, len(prefix)
     while i < j:
         s, e = prefix[i]
-        c, d = (G.m, G.n) if e == 1 else (G.n, G.m)
+        c, d = up if e == 1 else down
         if prefix[j - 1][1] != -e:
             break
         q, t = divmod(tail + s, c)

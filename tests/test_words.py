@@ -28,7 +28,8 @@ from bsrig.oracles import (
     random_word,
     with_inserted_relator,
 )
-from bsrig.words import Value, _scan, _set
+from bsrig import words
+from bsrig.words import Value, _scan, _set, concat_words, inverse_word
 
 G23 = bs(2, 3)
 GROUPS = [bs(2, 3), bs(2, -2), bs(3, 6), bs(1, 2)]
@@ -108,12 +109,12 @@ def test_exponent_past_the_digit_limit_is_a_syntax_error():
     with pytest.raises(WordSyntaxError, match=r"interpreter's \d+-digit limit") as err:
         parse_word(text)
     assert err.value.offset == 5
-    assert _tokens_or_error(_scan, text) == _tokens_or_error(oracle_scan, text)
+    assert _result_or_error(_scan, text) == _result_or_error(oracle_scan, text)
 
 
-def _tokens_or_error(scan, text):
+def _result_or_error(parse, text):
     try:
-        return scan(text)
+        return parse(text)
     except WordSyntaxError as exc:
         return str(exc), exc.offset
 
@@ -140,10 +141,34 @@ def test_scanner_matches_character_oracle():
     outcomes = set()
     for _ in range(5000):
         text = _random_text(rng)
-        got = _tokens_or_error(_scan, text)
-        assert got == _tokens_or_error(oracle_scan, text), text
+        got = _result_or_error(_scan, text)
+        assert got == _result_or_error(oracle_scan, text), text
         outcomes.add(got[0].split()[0] if isinstance(got, tuple) else "tokens")
     assert outcomes == {"tokens", "unexpected", "expected", "'e'"}
+
+
+def test_parser_matches_the_merged_character_oracle():
+    # the whole parser, check, tokens and merge, against the character
+    # scanner; a text fails the one-pass check exactly when it is no word
+    rng = random.Random(45)
+    texts = [_random_text(rng) for _ in range(5000)]
+    texts += ["ba^2B", "a^3a^-3", "e e", "ee", "b^0", "b a^0 B", "a^2b^0a^-2", "AAa^2", "a^-0", "Bb", "e^2", "a ^2", "a^-"]
+    texts.append("b a^-" + "9" * 5000)
+    # a backtracking check would not finish on a long word that is bad
+    # only at its last character
+    long = "b a^12 B A^-3 a^4 B " * 10_000
+    texts += [long, long[:-1] + "c", long[:-1] + "^"]
+    outcomes = set()
+    for text in texts:
+        want = _result_or_error(lambda t: GroupWord.of(oracle_scan(t)), text)
+        assert _result_or_error(parse_word, text) == want, text[:80]
+        no_word = isinstance(want, tuple) and not want[0].startswith("exponent over")
+        assert (words._WORD.fullmatch(text) is None) == no_word, text[:80]
+        outcomes.add(want[0].split()[0] if isinstance(want, tuple) else "word")
+    expected = {"word", "unexpected", "expected", "'e'"}
+    if hasattr(sys, "get_int_max_str_digits"):
+        expected.add("exponent")
+    assert outcomes == expected
 
 
 def test_format_round_trip():
@@ -220,6 +245,82 @@ def test_power():
             assert power(g, z, G23) == acc
             assert power(g, -z, G23) == invert(acc, G23)
             acc = multiply(acc, g, G23)
+
+
+def test_each_product_builds_once_and_pushes_once(monkeypatch):
+    # a product crosses all its letters in one push, never one call per
+    # letter; power makes one product per square and per set bit
+    built, pushed = [], []
+
+    class CountingBuilder(words._Builder):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+        def push(self, letters, tail=0):
+            pushed.append(tail)
+            return super().push(letters, tail)
+
+    G = bs(2, -3)
+    w = parse_word("b^7 a^5 B^3 a b^40 A^9 B")
+    g = normalize(w, G)
+    monkeypatch.setattr(words, "_Builder", CountingBuilder)
+    for call in (lambda: normalize(w, G), lambda: multiply(g, g, G), lambda: invert(g, G)):
+        built.clear()
+        pushed.clear()
+        call()
+        assert len(built) == len(pushed) == 1
+    for z in (1, 2, 5, 13, -6, -64):
+        built.clear()
+        pushed.clear()
+        power(g, z, G)
+        products = bin(abs(z)).count("1") + abs(z).bit_length() - 1 + (z < 0)
+        assert len(built) == len(pushed) == products, z
+
+
+# n < 0, both negative, |n| = |m| = 1 with m < 0, and n | m with m < 0
+SIGNED_GROUPS = [bs(-2, 3), bs(-3, -5), bs(1, -1), bs(2, -4)]
+
+
+def _assert_normal(nf, G):
+    for idx, (s, e) in enumerate(nf.prefix):
+        assert 0 <= s < (abs(G.m) if e == 1 else abs(G.n)), (G, nf)
+        assert not (idx and nf.prefix[idx - 1][1] == -e and s == 0), (G, nf)
+
+
+def test_builder_on_signed_groups_against_the_pinch_oracle():
+    # b-runs up to b^40 either way and a-powers up to 10^30; a quarter of
+    # the v are u^-1 with a relator inserted, so u v pops every letter of u
+    rng = random.Random(13)
+    identities = 0
+    for G in SIGNED_GROUPS:
+        for _ in range(80):
+            u = random_word(rng, max_b=40, max_exp=10**30)
+            if rng.random() < 0.25:
+                v = with_inserted_relator(inverse_word(u), G, rng)
+            else:
+                v = random_word(rng, max_b=40, max_exp=10**30)
+            uv = concat_words(u, v)
+            nu, nv, product = normalize(u, G), normalize(v, G), normalize(uv, G)
+            for word, nf in ((u, nu), (v, nv), (uv, product)):
+                _assert_normal(nf, G)
+                assert len(nf.prefix) == oracle_b_length(word, G, rng), (G, word)
+                assert (nf == IDENTITY) == oracle_is_identity(word, G, rng), (G, word)
+            identities += product == IDENTITY
+            assert multiply(nu, nv, G) == product
+            inverse = invert(nu, G)
+            _assert_normal(inverse, G)
+            assert inverse == normalize(inverse_word(u), G)
+            assert multiply(nu, inverse, G) == IDENTITY == multiply(inverse, nu, G)
+            assert multiply(multiply(nu, nv, G), inverse, G) == multiply(nu, multiply(nv, inverse, G), G)
+            assert invert(product, G) == multiply(invert(nv, G), inverse, G)
+            acc = IDENTITY
+            for z in range(4):
+                assert power(nu, z, G) == acc and power(nu, -z, G) == invert(acc, G)
+                acc = multiply(acc, nu, G)
+            y, z = rng.randint(-9, 9), rng.randint(-9, 9)
+            assert power(nu, y + z, G) == multiply(power(nu, y, G), power(nu, z, G), G)
+    assert identities >= 60
 
 
 def test_b_length_examples():
