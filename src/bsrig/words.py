@@ -222,11 +222,9 @@ _TERM = re.compile(r"(\S)(?:(\^)(-?)([0-9]*))?")
 
 _LETTERS = {"a": ("a", 1), "A": ("a", -1), "b": ("b", 1), "B": ("b", -1)}
 
-# exactly the texts _scan accepts.  No text needs a backtrack here, so the
-# possessive quantifiers of Python 3.11+ keep the language and spare the
-# check its backtracking state
-_P = "+" if sys.version_info >= (3, 11) else ""
-_WORD = re.compile(rf"(?:\s*{_P}(?:[aAbB](?:\^-?{_P}[0-9]+{_P})?{_P}|e))*{_P}\s*{_P}")
+# exactly the texts _scan accepts.  Every way back out of a term fails at
+# the next character, so a check that fails stays linear in the text
+_WORD = re.compile(r"(?:\s*(?:[aAbB](?:\^-?[0-9]+)?|e))*\s*")
 # the tokens of a text _WORD accepts: a letter and its signed digits, if any
 _TOKEN = re.compile(r"([aAbB])(?:\^(-?[0-9]+))?")
 

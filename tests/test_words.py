@@ -154,8 +154,8 @@ def test_parser_matches_the_merged_character_oracle():
     texts = [_random_text(rng) for _ in range(5000)]
     texts += ["ba^2B", "a^3a^-3", "e e", "ee", "b^0", "b a^0 B", "a^2b^0a^-2", "AAa^2", "a^-0", "Bb", "e^2", "a ^2", "a^-"]
     texts.append("b a^-" + "9" * 5000)
-    # a backtracking check would not finish on a long word that is bad
-    # only at its last character
+    # a long word that is bad only at its last character: the check must
+    # back out of each term in constant time to stay linear
     long = "b a^12 B A^-3 a^4 B " * 10_000
     texts += [long, long[:-1] + "c", long[:-1] + "^"]
     outcomes = set()
