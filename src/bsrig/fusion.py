@@ -33,8 +33,6 @@ __all__ = [
     "Irreducible",
     "BimoduleSum",
     "omega_member",
-    "enumerate_omega",
-    "isomorphic",
     "decompose_self_inverse",
     "exchange_partners",
 ]
@@ -70,10 +68,6 @@ class RootOfUnity:
         num %= den
         q = gcd(num, den)
         return RootOfUnity(num // q, den // q)
-
-    @property
-    def is_one(self) -> bool:
-        return self._num == 0
 
     def power(self, z: int) -> "RootOfUnity":
         return RootOfUnity.of(self._num * z, self._den)
@@ -117,19 +111,6 @@ def omega_member(w: RootOfUnity, G: BsPresentation) -> bool:
     return G.k % d == 0
 
 
-def enumerate_omega(G: BsPresentation, max_den: int) -> list[RootOfUnity]:
-    """All members of Omega with denominator at most max_den, sorted by angle."""
-    out = [ONE]
-    for den in range(2, max_den + 1):
-        if not omega_member(RootOfUnity(1, den), G):
-            continue
-        for num in range(1, den):
-            if gcd(num, den) == 1:
-                out.append(RootOfUnity(num, den))
-    out.sort(key=angle_key(out))
-    return out
-
-
 class Irreducible(Value):
     """Either a character twist (char set) or a coset module (coset set)."""
 
@@ -148,10 +129,6 @@ class Irreducible(Value):
         return Irreducible(coset=D)
 
     @property
-    def is_char(self) -> bool:
-        return self.char is not None
-
-    @property
     def left_dim(self) -> int:
         return 1 if self.char is not None else self.coset.profile.l
 
@@ -168,18 +145,6 @@ class Irreducible(Value):
         if self.char is not None:
             return f"K[{self.char}]"
         return f"K({self.coset})"
-
-
-def isomorphic(x: Irreducible, y: Irreducible, G: BsPresentation) -> bool:
-    """Label equality: coset modules match iff their double cosets agree,
-    characters iff their fractions agree.  The trivial module has the two
-    spellings K(unit coset) and K[0/1], which are identified."""
-    if x.is_char and y.is_char:
-        return x.char == y.char
-    if not x.is_char and not y.is_char:
-        return x.coset.representative == y.coset.representative
-    ch, co = (x, y) if x.is_char else (y, x)
-    return ch.char.is_one and co.coset.is_unit
 
 
 class BimoduleSum(Value):

@@ -50,7 +50,6 @@ __all__ = [
     "double_coset",
     "same_double_coset",
     "qc_member",
-    "centralizes",
     "hecke_convolve",
 ]
 
@@ -71,22 +70,23 @@ def _translate(letters, G: BsPresentation, i: int = 0, x: int = 0, R: int = 1, S
     """The translate pass of the module docstring over the (s, e) letters
     of a normal form's prefix, resumed from the state (i, x, R, S) after
     the letters before them: the digits (t, e) of the least tail-zeroed
-    translate, and the state after the last letter."""
-    n, m = G.n, G.m
+    translate, and the state after the last letter.  Each letter pushes
+    a^{x + S y} through b^e by the carries (c, d) of b^e."""
+    up, down = _carries(G)
     digits = []
     for s, e in letters:
-        num, den = (n, m) if e == 1 else (m, n)
+        c, d = up if e == 1 else down
         x += s
-        d = gcd(S, den)
-        q = abs(den) // d
-        t = x % d
-        y = (t - x) // d * pow(S // d, -1, q) % q
+        h = gcd(S, c)
+        q = c // h
+        t = x % h
+        y = (t - x) // h * pow(S // h, -1, q) % q
         digits.append((t, e))
         i += R * y
         R *= q
-        # x + S y - t is a multiple of den as a whole; x alone need not be
-        x = (x + S * y - t) // den * num
-        S = S // d * (num if den > 0 else -num)
+        # x + S y - t is a multiple of c as a whole; x alone need not be
+        x = (x + S * y - t) // c * d
+        S = S // h * d
     return digits, i, x, R, S
 
 
@@ -103,13 +103,13 @@ def _conjugate_exponent(g: NormalForm, z: int, G: BsPresentation) -> int | None:
     """The exponent of g a^z g^-1, or None when it is not in <a>.
 
     Inside out, every a-syllable of g commutes with the current a-power,
-    and b^e a^z b^-e is a^{z / c * d} when c | z, with (c, d) = (n, m) for
-    e = 1 and (m, n) for e = -1.  When c does not divide z the word is
-    reduced with b-letters left, so by Britton's lemma g a^z g^-1 is not in
-    <a>."""
-    n, m = G.n, G.m
+    and b^e a^z b^-e is a^{z / c * d} when c | z, with (c, d) the carries
+    of b^-e: a^{c q} b^-e = b^-e a^{d q}.  When c does not divide z the
+    word is reduced with b-letters left, so by Britton's lemma g a^z g^-1
+    is not in <a>."""
+    up, down = _carries(G)
     for _, e in reversed(g.prefix):
-        c, d = (n, m) if e == 1 else (m, n)
+        c, d = down if e == 1 else up
         q, t = divmod(z, c)
         if t:
             return None
@@ -175,10 +175,6 @@ class DoubleCoset(Value):
         _set(self, "representative", representative)
         _set(self, "profile", profile)
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.representative.prefix
-
     def sort_key(self) -> tuple:
         return nf_sort_key(self.representative)
 
@@ -219,7 +215,7 @@ def same_double_coset(g: NormalForm, h: NormalForm, G: BsPresentation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# quasi-centralizer and centralizer checks
+# quasi-centralizer check
 
 def qc_member(g: NormalForm, G: BsPresentation) -> bool:
     """True iff g a^{l(g)} g^-1 = a^{l(g)}, i.e. L(g) = +l(g) and r(g) = l(g).
@@ -227,13 +223,6 @@ def qc_member(g: NormalForm, G: BsPresentation) -> bool:
     of <a>."""
     p = coset_profile(g, G)
     return p.L == p.l and p.r == p.l
-
-
-def centralizes(g: NormalForm, z: int, G: BsPresentation) -> bool:
-    """True iff g a^z = a^z g, decided by the conjugation cascade."""
-    if z == 0:
-        raise ValueError("need a nonzero power of a")
-    return _conjugate_exponent(g, z, G) == z
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ arithmetic, one division per solution, instead of listing integer residues.
 The commutation oracle decides g a^z = a^y g by comparing two products
 instead of running the divisibility cascade, and the modular ratio reads
 r(g) / l(g) off the b-exponent sum alone, with no bound on r.
+The abelianization image, the listing of Omega up to a denominator and
+label equality of irreducibles are the checks the acceptance table makes
+on words, exchange partners and decompositions.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from .fusion import BimoduleSum, Irreducible, RootOfUnity, omega_member
+from .fusion import ONE, BimoduleSum, Irreducible, RootOfUnity, angle_key, omega_member
 from .hecke import DoubleCoset, HeckeElement, coset_profile, double_coset
 from .words import (
     BsPresentation,
@@ -52,6 +55,7 @@ __all__ = [
     "pinch_eliminate",
     "oracle_is_identity",
     "oracle_b_length",
+    "abelianization_image",
     "oracle_profile",
     "oracle_conjugates",
     "modular_ratio",
@@ -60,6 +64,8 @@ __all__ = [
     "oracle_candidate_convolve",
     "oracle_decompose_self_inverse",
     "oracle_exchange_partners",
+    "enumerate_omega",
+    "isomorphic",
     "random_word",
     "random_nf",
     "with_inserted_relator",
@@ -151,6 +157,23 @@ def oracle_is_identity(w: GroupWord, G: BsPresentation, rng: random.Random) -> b
 def oracle_b_length(w: GroupWord, G: BsPresentation, rng: random.Random) -> int:
     reduced = pinch_eliminate(w, G, rng)
     return sum(abs(exp) for letter, exp in reduced.syllables if letter == "b")
+
+
+def abelianization_image(w: GroupWord, G: BsPresentation) -> tuple[int, int]:
+    """Image in the abelianization: (sum of b-exponents, sum of a-exponents),
+    the a-part reduced mod |m - n| when m != n (the relation abelianizes to
+    a^{m-n} = e).  Componentwise additive, so it falsifies wrong identities."""
+    b_sum = 0
+    a_sum = 0
+    for letter, exp in w.syllables:
+        if letter == "a":
+            a_sum += exp
+        else:
+            b_sum += exp
+    d = abs(G.m - G.n)
+    if d:
+        a_sum %= d
+    return b_sum, a_sum
 
 
 def oracle_profile(g: NormalForm, G: BsPresentation, bound: int = 10**6) -> tuple[int, int, int]:
@@ -289,6 +312,31 @@ def oracle_exchange_partners(w: RootOfUnity, g: NormalForm, G: BsPresentation) -
     target = Fraction(w.num * p.r, w.den)
     angles = ((target + j) / p.L for j in range(abs(p.L)))
     return {RootOfUnity.of(u.numerator, u.denominator) for u in angles}
+
+
+def enumerate_omega(G: BsPresentation, max_den: int) -> list[RootOfUnity]:
+    """All members of Omega with denominator at most max_den, sorted by angle."""
+    out = [ONE]
+    for den in range(2, max_den + 1):
+        if not omega_member(RootOfUnity(1, den), G):
+            continue
+        for num in range(1, den):
+            if gcd(num, den) == 1:
+                out.append(RootOfUnity(num, den))
+    out.sort(key=angle_key(out))
+    return out
+
+
+def isomorphic(x: Irreducible, y: Irreducible, G: BsPresentation) -> bool:
+    """Label equality: coset modules match iff their double cosets agree,
+    characters iff their fractions agree.  The trivial module has the two
+    spellings K(unit coset) and K[0/1], which are identified."""
+    if x.char is not None and y.char is not None:
+        return x.char == y.char
+    if x.char is None and y.char is None:
+        return x.coset.representative == y.coset.representative
+    ch, co = (x, y) if x.char is not None else (y, x)
+    return ch.char.num == 0 and not co.coset.representative.prefix
 
 
 # ---------------------------------------------------------------------------

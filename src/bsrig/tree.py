@@ -23,7 +23,6 @@ from __future__ import annotations
 from .words import (
     BsPresentation,
     NormalForm,
-    IDENTITY,
     Value,
     _set,
     cyclically_reduce,
@@ -37,7 +36,6 @@ __all__ = [
     "Elliptic",
     "Hyperbolic",
     "vertex_of",
-    "base_vertex",
     "vertex_neighbors",
     "vertex_distance",
     "fixes_vertex",
@@ -59,10 +57,6 @@ class TreeVertex(Value):
 
 def vertex_of(g: NormalForm, G: BsPresentation) -> TreeVertex:
     return TreeVertex(NormalForm(g.prefix, 0))
-
-
-def base_vertex(G: BsPresentation) -> TreeVertex:
-    return TreeVertex(IDENTITY)
 
 
 def fixes_vertex(g: NormalForm, v: TreeVertex, G: BsPresentation) -> bool:

@@ -22,7 +22,8 @@ would overflow silently.
 
 One crossing loop, ``_Builder.push``, appends a run of letters a^s b^e
 with the crossing table ``_carries``.  ``parse_word`` makes one pass to
-check the text and one to tokenize and merge; ``_scan`` locates errors.
+take the terms and one to tokenize and merge; where the terms stop is
+where a bad text fails.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "power",
     "conjugated_by",
     "cyclically_reduce",
-    "abelianization_image",
     "a_power",
     "to_group_word",
 ]
@@ -215,68 +215,51 @@ def a_power(z: int) -> NormalForm:
 # ---------------------------------------------------------------------------
 # parsing and printing
 
-# one term per match: any non-space character, then an optional exponent;
-# finditer skips exactly the whitespace between terms
-_TERM = re.compile(r"(\S)(?:(\^)(-?)([0-9]*))?")
-
-
 _LETTERS = {"a": ("a", 1), "A": ("a", -1), "b": ("b", 1), "B": ("b", -1)}
 
-# exactly the texts _scan accepts.  Every way back out of a term fails at
-# the next character, so a check that fails stays linear in the text
+# the longest run of terms at the start of a text, so a text is a word iff
+# this match ends at its end.  Every way back out of a term fails at the
+# next character, so the match stays linear in the text
 _WORD = re.compile(r"(?:\s*(?:[aAbB](?:\^-?[0-9]+)?|e))*\s*")
-# the tokens of a text _WORD accepts: a letter and its signed digits, if any
+# the tokens of a run of terms: a letter and its signed digits, if any
 _TOKEN = re.compile(r"([aAbB])(?:\^(-?[0-9]+))?")
-
-
-def _scan(text: str) -> list[tuple[str, int]]:
-    """Tokenize ``letter power?`` terms over a, b (A = a^-1, B = b^-1).
-    Raises WordSyntaxError with the byte offset of the first bad character;
-    ``parse_word`` runs it only to locate that error."""
-    out: list[tuple[str, int]] = []
-    for term in _TERM.finditer(text):
-        ch, caret, minus, digits = term.groups()
-        if ch == "e":
-            # the canonical spelling of the identity re-parses as no term
-            if caret:
-                raise WordSyntaxError("'e' takes no exponent", term.start(2))
-            continue
-        if ch not in _LETTERS:
-            raise WordSyntaxError(f"unexpected character {ch!r}", term.start(1))
-        if caret and not digits:
-            raise WordSyntaxError("expected digits after '^'", term.start(4))
-        letter, sign = _LETTERS[ch]
-        try:
-            exp = int(digits) if caret else 1
-        except ValueError:  # only the interpreter's int-string limit rejects digits
-            limit = sys.get_int_max_str_digits()
-            message = f"exponent over the interpreter's {limit}-digit limit"
-            raise WordSyntaxError(message, term.start(4)) from None
-        out.append((letter, -sign * exp if minus else sign * exp))
-    return out
 
 
 def parse_word(text: str) -> GroupWord:
     """Parse a word over a, b (A = a^-1, B = b^-1, optional ^exponents,
     optional whitespace between terms) into a freely merged GroupWord.
-    Parsing never consults the group parameters.  One fullmatch checks the
-    text, one findall tokenizes it and the same loop merges syllables."""
-    if _WORD.fullmatch(text):
-        stack: list[tuple[str, int]] = []
-        try:
-            for ch, digits in _TOKEN.findall(text):
-                letter, exp = _LETTERS[ch]
-                if digits:
-                    exp *= int(digits)
-                if stack and stack[-1][0] == letter:
-                    exp += stack.pop()[1]
-                if exp:
-                    stack.append((letter, exp))
-        except ValueError:  # only the interpreter's int-string limit rejects digits
-            pass
-        else:
-            return GroupWord(tuple(stack))
-    return GroupWord.of(_scan(text))  # raises at the first bad character
+    Parsing never consults the group parameters.  One match of ``_WORD``
+    takes the terms, one findall tokenizes them and the same loop merges
+    syllables.  A bad text raises WordSyntaxError at its first error: an
+    exponent over the interpreter's digit limit, or else the first
+    character no term takes."""
+    end = _WORD.match(text).end()
+    stack: list[tuple[str, int]] = []
+    try:
+        for ch, digits in _TOKEN.findall(text, 0, end):
+            letter, exp = _LETTERS[ch]
+            if digits:
+                exp *= int(digits)
+            if stack and stack[-1][0] == letter:
+                exp += stack.pop()[1]
+            if exp:
+                stack.append((letter, exp))
+    except ValueError:  # only the interpreter's int-string limit rejects digits
+        # an earlier exponent with the same digits would have failed first
+        at = next(t.start(2) for t in _TOKEN.finditer(text, 0, end) if t[2] == digits)
+        limit = sys.get_int_max_str_digits()
+        message = f"exponent over the interpreter's {limit}-digit limit"
+        raise WordSyntaxError(message, at + digits.startswith("-")) from None
+    if end == len(text):
+        return GroupWord(tuple(stack))
+    # no term takes a caret after its letter with no digits, or after e
+    before = text[end - 1] if end else ""
+    if text[end] == "^" and before in _LETTERS:
+        digits_at = end + 1 + text.startswith("-", end + 1)
+        raise WordSyntaxError("expected digits after '^'", digits_at)
+    if text[end] == "^" and before == "e":
+        raise WordSyntaxError("'e' takes no exponent", end)
+    raise WordSyntaxError(f"unexpected character {text[end]!r}", end)
 
 
 def _fmt_syllable(letter: str, exp: int) -> str:
@@ -433,23 +416,6 @@ def cyclically_reduce(g: NormalForm, G: BsPresentation) -> tuple[NormalForm, Nor
         tail = prefix[j - 1][0] + q * d
         i, j = i + 1, j - 1
     return NormalForm(prefix[:i], 0), NormalForm(prefix[i:j], tail)
-
-
-def abelianization_image(w: GroupWord, G: BsPresentation) -> tuple[int, int]:
-    """Image in the abelianization: (sum of b-exponents, sum of a-exponents),
-    the a-part reduced mod |m - n| when m != n (the relation abelianizes to
-    a^{m-n} = e).  Componentwise additive, so it falsifies wrong identities."""
-    b_sum = 0
-    a_sum = 0
-    for letter, exp in w.syllables:
-        if letter == "a":
-            a_sum += exp
-        else:
-            b_sum += exp
-    d = abs(G.m - G.n)
-    if d:
-        a_sum %= d
-    return b_sum, a_sum
 
 
 def nf_sort_key(nf: NormalForm) -> tuple:

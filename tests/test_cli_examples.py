@@ -60,6 +60,33 @@ def test_readme_library_session():
     assert attempted >= 6 and failed == 0, "".join(report)
 
 
+# what ``bsrig`` exports: the union of the five layer modules' ``__all__``
+PUBLIC = {
+    "ABS_M_MISMATCH", "BimoduleSum", "BsPresentation", "CosetProfile", "DoubleCoset",
+    "Elliptic", "GroupWord", "HeckeElement", "Hyperbolic", "IDENTITY", "Irreducible",
+    "NO_OBSTRUCTION", "N_MISMATCH", "NormalForm", "ONE", "RigidityVerdict", "RootOfUnity",
+    "SIGN_MISMATCH", "SignWitness", "TreeVertex", "WordSyntaxError", "a_power", "angle_key",
+    "bs", "canonicalize", "classify", "common_fixed_vertex", "conjugated_by", "coset_profile",
+    "crossed_product_obstruction", "cyclically_reduce", "decompose_self_inverse",
+    "double_coset", "exchange_partners", "export_ball", "f_set", "f_set_member",
+    "fixes_vertex", "format_word", "hecke_convolve", "invert", "is_amenable",
+    "is_isomorphic", "multiply", "normalize", "omega_member", "parse_word", "power",
+    "qc_member", "recover_parameters", "same_double_coset", "sign_witness", "to_group_word",
+    "vertex_distance", "vertex_neighbors", "vertex_of", "word_nf",
+}
+
+
+def test_public_surface_is_the_layer_exports():
+    import bsrig
+    from bsrig import fusion, hecke, oracles, rigidity, tree, words
+
+    layers = (words, hecke, tree, fusion, rigidity)
+    assert set().union(*(module.__all__ for module in layers)) == PUBLIC
+    assert all(hasattr(bsrig, name) for name in PUBLIC)
+    # the checkers and samplers stay in their module
+    assert not [name for name in oracles.__all__ if hasattr(bsrig, name)]
+
+
 def _bsrig(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(

@@ -24,7 +24,6 @@ from bsrig import (  # noqa: E402
     coset_profile,
     cyclically_reduce,
     double_coset,
-    enumerate_omega,
     exchange_partners,
     format_word,
     hecke_convolve,
@@ -34,7 +33,12 @@ from bsrig import (  # noqa: E402
     parse_word,
 )
 from bsrig.cli import COMMANDS, run  # noqa: E402
-from bsrig.oracles import modular_ratio, oracle_convolve, oracle_exchange_partners  # noqa: E402
+from bsrig.oracles import (  # noqa: E402
+    enumerate_omega,
+    modular_ratio,
+    oracle_convolve,
+    oracle_exchange_partners,
+)
 
 SETTINGS = settings(deadline=None, database=None, max_examples=200)
 

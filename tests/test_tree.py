@@ -9,7 +9,6 @@ from bsrig import (
     NormalForm,
     TreeVertex,
     a_power,
-    base_vertex,
     bs,
     classify,
     common_fixed_vertex,
@@ -49,7 +48,7 @@ def edge_range(e, G):
 
 def test_source_and_range_of_base_edge():
     e = edge_of(IDENTITY, G23)
-    assert edge_source(e, G23) == base_vertex(G23)
+    assert edge_source(e, G23) == vertex_of(IDENTITY, G23)
     assert edge_range(e, G23) == vertex_of(word_nf("B", G23), G23)
 
 
@@ -59,7 +58,7 @@ def test_range_example():
 
 
 def test_vertex_of_absorbs_tail():
-    assert vertex_of(word_nf("a^7", G23), G23) == base_vertex(G23)
+    assert vertex_of(word_nf("a^7", G23), G23) == vertex_of(IDENTITY, G23)
     assert vertex_of(word_nf("b a^5", G23), G23) == vertex_of(word_nf("b", G23), G23)
 
 
@@ -76,9 +75,9 @@ def test_source_range_well_defined():
 
 
 def test_fixes_vertex():
-    assert fixes_vertex(word_nf("a^4", G23), base_vertex(G23), G23)
+    assert fixes_vertex(word_nf("a^4", G23), vertex_of(IDENTITY, G23), G23)
     assert fixes_vertex(word_nf("b a b^-1", G23), vertex_of(word_nf("b", G23), G23), G23)
-    assert not fixes_vertex(word_nf("b", G23), base_vertex(G23), G23)
+    assert not fixes_vertex(word_nf("b", G23), vertex_of(IDENTITY, G23), G23)
 
 
 def test_fixes_vertex_matches_conjugation():
@@ -157,7 +156,7 @@ def test_hyperbolic_powers_stay_hyperbolic():
 
 def test_common_fixed_vertex_examples():
     found = common_fixed_vertex([word_nf("a", G23), word_nf("a^3", G23)], G23, 4)
-    assert found == (base_vertex(G23), IDENTITY)
+    assert found == (vertex_of(IDENTITY, G23), IDENTITY)
     found = common_fixed_vertex([word_nf("b a b^-1", G23)], G23, 4)
     assert found is not None
     assert found[0] == vertex_of(word_nf("b", G23), G23)
@@ -298,7 +297,7 @@ def test_returned_vertex_is_ball_minimal():
 
 
 def test_vertex_neighbors_and_distance():
-    v = base_vertex(G23)
+    v = vertex_of(IDENTITY, G23)
     nbrs = vertex_neighbors(v, G23)
     assert len(nbrs) == G23.n + abs(G23.m)
     assert len(set(nbrs)) == len(nbrs)
@@ -310,30 +309,30 @@ def test_vertex_neighbors_and_distance():
 
 
 def test_export_ball_radius_zero():
-    dot = export_ball(base_vertex(G23), 0, G23)
+    dot = export_ball(vertex_of(IDENTITY, G23), 0, G23)
     assert dot == 'digraph bass_serre_ball {\n  "e";\n}\n'
 
 
 def test_export_ball_radius_one():
-    dot = export_ball(base_vertex(G23), 1, G23)
+    dot = export_ball(vertex_of(IDENTITY, G23), 1, G23)
     vertex_lines = [ln for ln in dot.splitlines() if ln.endswith('";')]
     edge_lines = [ln for ln in dot.splitlines() if "->" in ln]
     assert len(vertex_lines) == 1 + G23.n + abs(G23.m)
     assert len(edge_lines) == 5
-    assert dot == export_ball(base_vertex(G23), 1, G23)
+    assert dot == export_ball(vertex_of(IDENTITY, G23), 1, G23)
 
 
 def test_ball_growth_matches_regular_tree():
     for G in (G23, bs(2, -2)):
         d = G.n + abs(G.m)
-        dot = export_ball(base_vertex(G), 2, G)
+        dot = export_ball(vertex_of(IDENTITY, G), 2, G)
         n_vertices = sum(1 for ln in dot.splitlines() if ln.endswith('";'))
         assert n_vertices == 1 + d + d * (d - 1)
 
 
 def test_export_ball_handshake():
     for radius in (1, 2):
-        dot = export_ball(base_vertex(G23), radius, G23)
+        dot = export_ball(vertex_of(IDENTITY, G23), radius, G23)
         edges = [ln for ln in dot.splitlines() if "->" in ln]
         degree = {}
         for ln in edges:
@@ -405,7 +404,7 @@ def _reference_ball(center, radius, G):
 def _random_vertex(rng, G, b_length, start=None):
     """A vertex b_length farther from the base vertex than start (the base
     vertex itself by default), by a random walk that never steps back."""
-    v = base_vertex(G) if start is None else start
+    v = vertex_of(IDENTITY, G) if start is None else start
     for _ in range(b_length):
         v = rng.choice([w for w in _multiplied_neighbors(v, G) if w.rep.b_length > v.rep.b_length])
     return v

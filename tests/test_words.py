@@ -8,7 +8,6 @@ from bsrig import (
     IDENTITY,
     NormalForm,
     WordSyntaxError,
-    abelianization_image,
     bs,
     cyclically_reduce,
     format_word,
@@ -21,6 +20,7 @@ from bsrig import (
     word_nf,
 )
 from bsrig.oracles import (
+    abelianization_image,
     oracle_b_length,
     oracle_is_identity,
     oracle_scan,
@@ -29,7 +29,7 @@ from bsrig.oracles import (
     with_inserted_relator,
 )
 from bsrig import words
-from bsrig.words import Value, _scan, _set, concat_words, inverse_word
+from bsrig.words import Value, _set, concat_words, inverse_word
 
 G23 = bs(2, 3)
 GROUPS = [bs(2, 3), bs(2, -2), bs(3, 6), bs(1, 2)]
@@ -104,12 +104,14 @@ def test_parse_errors_carry_offset():
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")
 def test_exponent_past_the_digit_limit_is_a_syntax_error():
     # outside cli.run the interpreter refuses to convert that many digits;
-    # both tokenizers report it as bad input, at the digits
-    text = "b a^-" + "9" * 5000
+    # the parser and the character scanner report it as bad input, at the
+    # digits, also where a syntax error follows
+    nines = "9" * 5000
     with pytest.raises(WordSyntaxError, match=r"interpreter's \d+-digit limit") as err:
-        parse_word(text)
+        parse_word("b a^-" + nines)
     assert err.value.offset == 5
-    assert _result_or_error(_scan, text) == _result_or_error(oracle_scan, text)
+    for text in ("b a^-" + nines, "a^" + nines + " c", "a^9 b^-" + nines + " e^2"):
+        assert _result_or_error(parse_word, text) == _result_or_error(_oracle_parse, text)
 
 
 def _result_or_error(parse, text):
@@ -117,6 +119,10 @@ def _result_or_error(parse, text):
         return parse(text)
     except WordSyntaxError as exc:
         return str(exc), exc.offset
+
+
+def _oracle_parse(text):
+    return GroupWord.of(oracle_scan(text))
 
 
 def _random_text(rng):
@@ -141,15 +147,16 @@ def test_scanner_matches_character_oracle():
     outcomes = set()
     for _ in range(5000):
         text = _random_text(rng)
-        got = _result_or_error(_scan, text)
-        assert got == _result_or_error(oracle_scan, text), text
+        got = _result_or_error(parse_word, text)
+        assert got == _result_or_error(_oracle_parse, text), text
         outcomes.add(got[0].split()[0] if isinstance(got, tuple) else "tokens")
     assert outcomes == {"tokens", "unexpected", "expected", "'e'"}
 
 
 def test_parser_matches_the_merged_character_oracle():
-    # the whole parser, check, tokens and merge, against the character
-    # scanner; a text fails the one-pass check exactly when it is no word
+    # the whole parser, terms, tokens and merge, against the character
+    # scanner; the terms stop short of a text's end exactly when it is no
+    # word
     rng = random.Random(45)
     texts = [_random_text(rng) for _ in range(5000)]
     texts += ["ba^2B", "a^3a^-3", "e e", "ee", "b^0", "b a^0 B", "a^2b^0a^-2", "AAa^2", "a^-0", "Bb", "e^2", "a ^2", "a^-"]
@@ -160,10 +167,10 @@ def test_parser_matches_the_merged_character_oracle():
     texts += [long, long[:-1] + "c", long[:-1] + "^"]
     outcomes = set()
     for text in texts:
-        want = _result_or_error(lambda t: GroupWord.of(oracle_scan(t)), text)
+        want = _result_or_error(_oracle_parse, text)
         assert _result_or_error(parse_word, text) == want, text[:80]
         no_word = isinstance(want, tuple) and not want[0].startswith("exponent over")
-        assert (words._WORD.fullmatch(text) is None) == no_word, text[:80]
+        assert (words._WORD.match(text).end() < len(text)) == no_word, text[:80]
         outcomes.add(want[0].split()[0] if isinstance(want, tuple) else "word")
     expected = {"word", "unexpected", "expected", "'e'"}
     if hasattr(sys, "get_int_max_str_digits"):
