@@ -202,30 +202,38 @@ def decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
     class of i as in hecke_convolve.  Pinching classes come first, and the
     walk stops at the first double coset whose r differs from r(g), which
     the refusal names.
+
+    The terms come in the order of BimoduleSum.of without its sort: the
+    characters are built in angle order, so only the coset terms are
+    sorted, and the dimensions are summed from the walk's counts.
     """
     from .candidates import residue_walk  # compiled only once a decomposition is asked for
 
     G.require_standard("self-inverse decomposition")
     p = coset_profile(g, G)
-    terms = []
+    chars = []
     for i in range(p.r):
         q = gcd(i, p.r)
-        terms.append(Irreducible.character(RootOfUnity(i // q, p.r // q)))
+        chars.append(Irreducible.character(RootOfUnity(i // q, p.r // q)))
     P = g.prefix
     # P = a^s1 b^e1 ... a^sk b^ek, so P^-1 is the letters a^0 b^-ek,
     # a^-sk b^-e(k-1), ..., a^-s2 b^-e1, then a^-s1, which moves only the tail
     inverse = [(-s, -e) for s, (_, e) in zip((0, *(s for s, _ in reversed(P))), reversed(P))]
+    cosets = []
+    left = right = p.r  # the characters have dimension 1 on both sides
     for D, count in residue_walk(P, 1, p.l - 1, inverse, G):
         if D.profile.r != p.r:
             raise ValueError(
                 f"labeled decomposition does not close for {g}: the conjugates "
                 f"in <a> {D} <a> have r={D.profile.r} instead of r(g)={p.r}"
             )
-        terms += [Irreducible.coset_module(D)] * count
-    out = BimoduleSum.of(terms)
-    if out.left_dim != p.l * p.r or out.right_dim != p.l * p.r:
+        cosets += [Irreducible.coset_module(D)] * count
+        left += D.profile.l * count
+        right += D.profile.r * count
+    if left != p.l * p.r or right != p.l * p.r:
         raise InternalError("internal error: dimension bookkeeping is inconsistent")
-    return out
+    cosets.sort(key=lambda t: t.coset.sort_key())
+    return BimoduleSum((*chars, *cosets))
 
 
 def exchange_partners(w: RootOfUnity, g: NormalForm, G: BsPresentation) -> set[RootOfUnity]:

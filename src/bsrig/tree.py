@@ -8,8 +8,8 @@ zeroed, an edge the NormalForm with tail reduced into [0, |n|).  The
 vertex rep spells the geodesic from the base vertex <a>, so adjacent
 vertices differ by one letter a^s b^e at the end of the longer rep, and
 geodesics part where reps do: no multiplication needed.  A ball is
-exported by the same rule, walked as a tree with each label extended by
-one syllable from its parent's.
+exported by the same rule, walked as a tree: labels extend their
+parents' by one syllable, whose text is formatted once per call.
 
 An element is elliptic iff its cyclically reduced core is an a-power;
 otherwise it is hyperbolic and translates along an axis by the cyclically
@@ -164,24 +164,38 @@ def common_fixed_vertex(
     return None
 
 
-def _child(vertex, s: int, e: int, edges: list) -> tuple[str, str, int]:
-    """The child v a^s b^e <a> of a labelled vertex (label, stem, run), where
-    run is the signed exponent of the label's last b-run and stem the label
-    before it: the label is extended by one syllable, not re-formatted.  A
-    step with s = 0 and the sign of run merges into that run (b becomes
-    b^2).  The ball edge between the two goes to edges."""
-    label, stem, run = vertex
-    if s:
-        stem = f"{label} {_fmt_syllable('a', s)}" if run else _fmt_syllable("a", s)
-        run = e
-    else:
-        run += e
-    child = f"{stem} {_fmt_syllable('b', run)}" if stem else _fmt_syllable("b", run)
-    if e == 1:  # child b^-1 <a> = parent: the edge child<a^n> runs from child to parent
-        edges.append((child, label, child))
-    else:  # child = parent a^s b^-1 <a>: the range of the edge parent a^s <a^n>
-        edges.append((label, child, stem if s else label))
-    return child, stem, run
+class _Syllables(dict):
+    """The text " x^k" of each exponent k of one letter x, formatted on first use."""
+
+    def __init__(self, letter: str):
+        self.letter = letter
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = f" {_fmt_syllable(self.letter, k)}"
+        return text
+
+
+def _grow(sphere: list, children: list, a: _Syllables, b: _Syllables, edges: list) -> list:
+    """The children of the labelled vertices (label, stem, run, c) in sphere,
+    where run is the signed exponent of the label's last b-run, c its sign
+    and stem the label before it; a vertex steps by children[c].  A child's
+    label is its parent's extended by one syllable, from the texts in a and
+    b, not re-formatted; a step with s = 0 merges into the last b-run (b
+    becomes b^2).  The ball edge between the two goes to edges."""
+    grown = []
+    for label, stem, run, c in sphere:
+        for s, e in children[c]:
+            if s:  # run = 0 only at the base vertex, whose label e is dropped
+                st, r = (label + a[s] if run else a[s][1:]), e
+            else:
+                st, r = stem, run + e
+            child = st + b[r] if st else b[r][1:]
+            if e == 1:  # child b^-1 <a> = parent: the edge child<a^n> runs from child to parent
+                edges.append((child, label, child))
+            else:  # child = parent a^s b^-1 <a>: the range of the edge parent a^s <a^n>
+                edges.append((label, child, st if s else label))
+            grown.append((child, st, r, e))
+    return grown
 
 
 def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
@@ -195,12 +209,15 @@ def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
     set and no group arithmetic.  Each vertex steps to its children, the
     steps of _steps but the pinch; only the path from the centre toward the
     base vertex also steps up, skipping the branch it came from.  A child's
-    label is its parent's plus one syllable, and each edge label is read off
-    the same strings, so format_word runs once, for the farthest ancestor
-    of the centre within the radius."""
+    label is its parent's plus one syllable, whose text is formatted once
+    per call, not once per vertex; edge labels are read off the same
+    strings, and format_word runs once, for the farthest ancestor of the
+    centre within the radius."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    children = {last: [step for step in _steps(G, last) if step] for last in (-1, 0, 1)}
+    # children[c]: the steps out of a vertex whose last b-run has sign c
+    children = [[step for step in _steps(G, c) if step] for c in (0, 1, -1)]
+    a, b = _Syllables("a"), _Syllables("b")
     prefix = center.rep.prefix
     top = len(prefix) - min(radius, len(prefix))
     label = format_word(NormalForm(prefix[:top], 0))
@@ -210,28 +227,20 @@ def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
         if s:
             break
     edges: list[tuple[str, str, str]] = []
-    path = [(label, label.rpartition(" ")[0], run)]
-    for s, e in prefix[top:]:
-        path.append(_child(path[-1], s, e, edges))
+    path = [(label, label.rpartition(" ")[0], run, (run > 0) - (run < 0))]
+    for step in prefix[top:]:  # a sphere of one vertex takes the same steps whatever its c
+        path += _grow(path[-1:], [[step]] * 3, a, b, edges)
     labels = [vertex[0] for vertex in path]
-    for up, root in enumerate(reversed(path)):  # root lies up steps above the centre
+    for up, root in zip(range(radius), reversed(path)):  # root lies up steps above the centre
         skip = prefix[len(prefix) - up] if up else None  # the branch toward the centre
+        steps = [[step for step in children[root[3]] if step != skip]] * 3
         sphere = [root]
-        for level in range(radius - up):
-            sphere = [
-                _child(vertex, s, e, edges)
-                for vertex in sphere
-                for s, e in children[(vertex[2] > 0) - (vertex[2] < 0)]
-                if level or (s, e) != skip
-            ]
-            labels.extend(vertex[0] for vertex in sphere)
+        for _ in range(radius - up):
+            sphere = _grow(sphere, steps, a, b, edges)
+            steps = children
+            labels += [vertex[0] for vertex in sphere]
     labels.sort()
     edges.sort()
-
-    lines = ["digraph bass_serre_ball {"]
-    for label in labels:
-        lines.append(f'  "{label}";')
-    for src, dst, lab in edges:
-        lines.append(f'  "{src}" -> "{dst}" [label="{lab}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    vertices = '";\n  "'.join(labels)
+    lines = [f'  "{src}" -> "{dst}" [label="{lab}"];\n' for src, dst, lab in edges]
+    return f'digraph bass_serre_ball {{\n  "{vertices}";\n{"".join(lines)}}}\n'

@@ -243,6 +243,26 @@ def test_decompose_matches_the_conjugate_loop_oracle():
     assert refused >= 50
 
 
+def test_decompose_builds_the_canonical_order():
+    # the terms come out in BimoduleSum.of's order without its sort, on a
+    # grid of words a^s b^e a^t (b^f a^(s-t)), accepted and refused alike
+    accepted = refused = 0
+    for G in (bs(2, 3), bs(2, -3), bs(3, 4), bs(2, 2), bs(3, 6)):
+        for e, f in ((1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1), (2, 0), (-2, 0)):
+            for s in range(-2, 3):
+                for t in range(-3, 4):
+                    text = f"a^{s} b^{e} a^{t}" + (f" b^{f} a^{s - t}" if f else "")
+                    g = word_nf(text, G)
+                    if _refusal(oracle_decompose_self_inverse, g, G) is not None:
+                        assert _refusal(decompose_self_inverse, g, G) is not None, (G, text)
+                        refused += 1
+                        continue
+                    out = decompose_self_inverse(g, G)
+                    assert out == BimoduleSum.of(out.terms) == oracle_decompose_self_inverse(g, G), (G, text)
+                    accepted += 1
+    assert (accepted, refused) == (980, 420)
+
+
 def test_refusals_stop_at_the_first_collapsing_leaf(monkeypatch):
     # a refusal canonicalises no more leaves than the loop over i makes
     # conjugates before it refuses: b^2 in BS(2,3), B^4 in BS(3,4) and the

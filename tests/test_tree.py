@@ -506,6 +506,38 @@ def test_export_ball_extends_merged_runs_across_the_base_vertex():
     assert cases == 12 * (6 + 5 + 6)
 
 
+def test_export_ball_extends_long_merged_runs():
+    # runs of nine letters of either sign, and a run of six after an
+    # a-syllable, so the b-run texts reach exponents up to 14 in both signs
+    for G, radii in ((G23, 6), (bs(1, 1), 6), (bs(-3, -5), 4)):
+        for word in ("b^9", "B^9", "a b^6 a B^3"):
+            center = vertex_of(word_nf(word, G), G)
+            for radius in range(radii):
+                assert export_ball(center, radius, G) == _reference_ball(center, radius, G), (G, word, radius)
+
+
+BALL_CENTERS = ("e", "b^3", "a B^2", "b a b^2", "b^2 a b a B^4")
+
+
+def test_export_ball_formats_each_syllable_once_per_call(monkeypatch):
+    # each a-exponent and b-run exponent is formatted at most once per call,
+    # so the count is bounded by d, the radius and |centre|, not the ball size
+    formatted = []
+
+    def counting_fmt(letter, exp):
+        formatted.append((letter, exp))
+        return words._fmt_syllable(letter, exp)
+
+    monkeypatch.setattr(tree, "_fmt_syllable", counting_fmt)
+    d, radius = abs(G23.n) + abs(G23.m), 5
+    for text in BALL_CENTERS:
+        center = vertex_of(word_nf(text, G23), G23)
+        formatted.clear()
+        assert export_ball(center, radius, G23).count('";\n') == 1 + 5 * (4**radius - 1) // 3
+        assert len(set(formatted)) == len(formatted), (text, formatted)
+        assert len(formatted) <= d + 2 * (radius + center.rep.b_length), (text, len(formatted))
+
+
 def test_export_ball_formats_no_vertex_from_scratch(monkeypatch):
     built, formatted = [], []
 
@@ -518,7 +550,7 @@ def test_export_ball_formats_no_vertex_from_scratch(monkeypatch):
         formatted.append(w)
         return format_word(w)
 
-    centers = [vertex_of(word_nf(text, G23), G23) for text in ("e", "b^3", "a B^2", "b a b^2", "b^2 a b a B^4")]
+    centers = [vertex_of(word_nf(text, G23), G23) for text in BALL_CENTERS]
     monkeypatch.setattr(words, "_Builder", CountingBuilder)
     monkeypatch.setattr(tree, "format_word", counting_format)
     radius = 5
