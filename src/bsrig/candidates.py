@@ -3,7 +3,7 @@
 Convolution counts the double cosets of d a^i e, i < gcd(l(d), r(e)),
 and self-inverse fusion those of the conjugates P a^i P^-1, 0 < i < l(g).
 The walk builds these candidates left to right in residue classes of i
-that share a normal-form prefix, so that the builder's work and the
+that share a normal-form prefix, so that the crossings and the
 translate pass of ``hecke`` along a shared prefix are done once per class,
 not once per candidate.  Only ``hecke.hecke_convolve`` and
 ``fusion.decompose_self_inverse`` import this module, when they run.

@@ -25,7 +25,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import fusion, hecke, rigidity, tree
-from .words import BsPresentation, InternalError, bs, format_word, word_nf
+from .words import BsPresentation, bs, format_word, word_nf
 
 
 class _UsageError(Exception):
@@ -275,10 +275,7 @@ def run(argv: list[str]) -> int:
     """Entry point used by tests: returns the exit code, writing to the real
     stdout/stderr."""
     # exact answers such as r(b^10000) = 3^10000 exceed the interpreter's
-    # default limit on int <-> str conversion (Python 3.11+); lift it for
-    # the call only
-    if not hasattr(sys, "get_int_max_str_digits"):
-        return _dispatch(argv)
+    # default limit on int <-> str conversion; lift it for the call only
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -323,10 +320,10 @@ def _dispatch(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"bsrig: {exc}\n")
         return 2
-    except InternalError as exc:
+    except RuntimeError as exc:  # InternalError or another bug, never bad input
         sys.stderr.write(f"bsrig: {exc}; this is a bug in bsrig, please report it\n")
         return 3
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"bsrig: {exc}\n")
         return 1
     sys.stdout.write(out)

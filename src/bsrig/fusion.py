@@ -148,28 +148,13 @@ class Irreducible(Value):
 
 
 class BimoduleSum(Value):
-    """Formal multiset of irreducibles; terms kept in canonical order so
-    multiset equality is tuple equality."""
+    """Formal multiset of irreducibles; terms kept in the canonical order of
+    ``oracles.canonical_sum``, so multiset equality is tuple equality."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[Irreducible, ...]):
         _set(self, "terms", terms)
-
-    @staticmethod
-    def of(terms) -> "BimoduleSum":
-        """The canonical order: characters first, by angle, then coset
-        modules by representative."""
-        terms = list(terms)
-        angle = angle_key(t.char for t in terms if t.char is not None)
-
-        def key(t: Irreducible) -> tuple:
-            if t.char is not None:
-                return (0, angle(t.char))
-            return (1, t.coset.sort_key())
-
-        terms.sort(key=key)
-        return BimoduleSum(tuple(terms))
 
     @property
     def left_dim(self) -> int:
@@ -203,9 +188,11 @@ def decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
     walk stops at the first double coset whose r differs from r(g), which
     the refusal names.
 
-    The terms come in the order of BimoduleSum.of without its sort: the
-    characters are built in angle order, so only the coset terms are
-    sorted, and the dimensions are summed from the walk's counts.
+    Each leaf of the walk holds exactly one conjugate: two in one leaf
+    would put P a^(i-j) P^-1 in <a>, so l(g) would divide 0 < |i - j| <
+    l(g).  The terms come in the canonical order of oracles.canonical_sum
+    without its sort: the characters are built in angle order, so only the
+    coset terms are sorted.
     """
     from .candidates import residue_walk  # compiled only once a decomposition is asked for
 
@@ -220,20 +207,23 @@ def decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
     # a^-sk b^-e(k-1), ..., a^-s2 b^-e1, then a^-s1, which moves only the tail
     inverse = [(-s, -e) for s, (_, e) in zip((0, *(s for s, _ in reversed(P))), reversed(P))]
     cosets = []
-    left = right = p.r  # the characters have dimension 1 on both sides
     for D, count in residue_walk(P, 1, p.l - 1, inverse, G):
         if D.profile.r != p.r:
             raise ValueError(
                 f"labeled decomposition does not close for {g}: the conjugates "
                 f"in <a> {D} <a> have r={D.profile.r} instead of r(g)={p.r}"
             )
-        cosets += [Irreducible.coset_module(D)] * count
-        left += D.profile.l * count
-        right += D.profile.r * count
-    if left != p.l * p.r or right != p.l * p.r:
-        raise InternalError("internal error: dimension bookkeeping is inconsistent")
+        # P a^i P^-1 and P a^j P^-1 in one leaf differ by a power of a on
+        # the right, so P a^(i-j) P^-1 lies in <a> and l(g) divides i - j,
+        # which 0 < i != j < l(g) rules out
+        if count != 1:
+            raise InternalError(f"internal error: {count} conjugates of {g} share one leaf")
+        cosets.append(Irreducible.coset_module(D))
     cosets.sort(key=lambda t: t.coset.sort_key())
-    return BimoduleSum((*chars, *cosets))
+    out = BimoduleSum((*chars, *cosets))
+    if out.left_dim != p.l * p.r or out.right_dim != p.l * p.r:
+        raise InternalError("internal error: dimension bookkeeping is inconsistent")
+    return out
 
 
 def exchange_partners(w: RootOfUnity, g: NormalForm, G: BsPresentation) -> set[RootOfUnity]:

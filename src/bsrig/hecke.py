@@ -195,7 +195,7 @@ def _coset(letters: tuple, i: int, digits: tuple, R: int, S: int, G: BsPresentat
     rep = NormalForm(digits, 0)
     profile = _profile(rep, R, S, G)
     # postcondition: the translate a^i g has the chosen prefix.  a^i only
-    # carries through the b-letters of g, as in words._Builder.push when
+    # carries through the b-letters of g, as in words._push when
     # nothing pinches: the carry out of b^e is a multiple of the c that
     # would pinch b^-e
     up, down = _carries(G)

@@ -20,9 +20,10 @@ arithmetic, one division per solution, instead of listing integer residues.
 The commutation oracle decides g a^z = a^y g by comparing two products
 instead of running the divisibility cascade, and the modular ratio reads
 r(g) / l(g) off the b-exponent sum alone, with no bound on r.
-The abelianization image, the listing of Omega up to a denominator and
-label equality of irreducibles are the checks the acceptance table makes
-on words, exchange partners and decompositions.
+The abelianization image, the listing of Omega up to a denominator,
+label equality of irreducibles and the canonical order of their sums are
+the checks the acceptance table and the tests make on words, exchange
+partners and decompositions.
 """
 
 from __future__ import annotations
@@ -277,6 +278,21 @@ def oracle_candidate_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentatio
     return HeckeElement.from_dict(acc)
 
 
+def canonical_sum(terms) -> BimoduleSum:
+    """The terms in canonical order: characters first, by angle, then coset
+    modules by representative."""
+    terms = list(terms)
+    angle = angle_key(t.char for t in terms if t.char is not None)
+
+    def key(t: Irreducible) -> tuple:
+        if t.char is not None:
+            return (0, angle(t.char))
+        return (1, t.coset.sort_key())
+
+    terms.sort(key=key)
+    return BimoduleSum(tuple(terms))
+
+
 def oracle_decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
     """decompose_self_inverse with each conjugate g a^i g^-1, 0 < i < l(g),
     built by two products and canonicalised in order of i; it refuses at
@@ -297,7 +313,7 @@ def oracle_decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleS
                 f"at i={i} has r={D.profile.r} instead of r(g)={p.r}"
             )
         terms.append(Irreducible.coset_module(D))
-    out = BimoduleSum.of(terms)
+    out = canonical_sum(terms)
     if out.left_dim != p.l * p.r or out.right_dim != p.l * p.r:
         raise InternalError("internal error: dimension bookkeeping is inconsistent")
     return out

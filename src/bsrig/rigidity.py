@@ -82,10 +82,9 @@ def canonicalize(n: int, m: int) -> tuple[int, int]:
     """The unique pair with 1 <= n' <= |m'| reachable by the isomorphism
     moves (n, m) -> (-n, -m) and (n, m) -> (m, n)."""
     _require_nonzero(n, m)
-    for cand in ((n, m), (-n, -m), (m, n), (-m, -n)):
-        if 1 <= cand[0] <= abs(cand[1]):
-            return cand
-    raise InternalError(f"internal error: no orientation of ({n},{m}) is canonical")
+    if abs(n) > abs(m):
+        n, m = m, n
+    return (-n, -m) if n < 0 else (n, m)
 
 
 def is_isomorphic(n1: int, m1: int, n2: int, m2: int) -> bool:
@@ -134,11 +133,9 @@ def sign_witness(n: int, m: int) -> SignWitness:
         raise ValueError("no sign witness exists when n = |m|")
     k = gcd(n, abs(m))
     n0, m0 = n // k, m // k
-    base = abs(n0 * m0)
-    t = 1
-    while base**t <= 2:
-        t += 1
-    # exp(2 pi i / d) with |d| >= base^t > 2 needs no gcd: 1/d, or (|d| - 1)/|d| for d < 0
+    # the least t with (n0 |m0|)^t > 2: n0 < |m0| are coprime, so n0 |m0| >= 2
+    t = 2 if n0 * abs(m0) == 2 else 1
+    # exp(2 pi i / d) with |d| >= (n0 |m0|)^t > 2 needs no gcd: 1/d, or (|d| - 1)/|d| for d < 0
     omega, mu = (
         RootOfUnity(1, d) if d > 0 else RootOfUnity(-d - 1, -d)
         for d in (k * n0 ** (t + 1) * m0**t, k * n0**t * m0 ** (t + 1))

@@ -20,10 +20,10 @@ is the b-length of the element.  All exponents are arbitrary-precision:
 each crossing multiplies a-powers by m/n or n/m and fixed-width integers
 would overflow silently.
 
-One crossing loop, ``_Builder.push``, appends a run of letters a^s b^e
-with the crossing table ``_carries``.  ``parse_word`` makes one pass to
-take the terms and one to tokenize and merge; where the terms stop is
-where a bad text fails.
+One crossing loop, ``_push``, appends a run of letters a^s b^e to a
+normal form with the crossing table ``_carries``.  ``parse_word`` makes
+one pass to take the terms and one to tokenize and merge; where the
+terms stop is where a bad text fails.
 """
 
 from __future__ import annotations
@@ -218,9 +218,9 @@ def a_power(z: int) -> NormalForm:
 _LETTERS = {"a": ("a", 1), "A": ("a", -1), "b": ("b", 1), "B": ("b", -1)}
 
 # the longest run of terms at the start of a text, so a text is a word iff
-# this match ends at its end.  Every way back out of a term fails at the
-# next character, so the match stays linear in the text
-_WORD = re.compile(r"(?:\s*(?:[aAbB](?:\^-?[0-9]+)?|e))*\s*")
+# this match ends at its end.  The quantifiers are possessive: the match
+# never backs into a term it took, so it stays linear in the text
+_WORD = re.compile(r"(?:\s*+(?:[aAbB](?:\^-?[0-9]++)?+|e))*+\s*")
 # the tokens of a run of terms: a letter and its signed digits, if any
 _TOKEN = re.compile(r"([aAbB])(?:\^(-?[0-9]+))?")
 
@@ -303,35 +303,23 @@ def _carries(G: BsPresentation) -> tuple[tuple[int, int], tuple[int, int]]:
     return (m, n) if m > 0 else (-m, -n), (n, m) if n > 0 else (-n, -m)
 
 
-class _Builder:
-    """Mutable accumulator maintaining the right-pushed pinch-free invariant
-    while letters are appended on the right."""
-
-    __slots__ = ("up", "down", "prefix", "tail")
-
-    def __init__(self, G: BsPresentation, seed: NormalForm = IDENTITY):
-        self.up, self.down = _carries(G)
-        self.prefix = list(seed.prefix)
-        self.tail = seed.tail
-
-    def push(self, letters, tail: int = 0) -> NormalForm:
-        """Append a^{s_1} b^{e_1} ... a^{s_k} b^{e_k} a^{tail}, given the
-        (s, e) letters, and return the normal form so far.  Crossing b^e
-        turns a^t b^e into a^{t0} b^e a^{d q} with t = c q + t0; when t0 = 0
-        right after b^-e, that is the pinch b^-e a^{c q} b^e = a^{d q}."""
-        up, down = self.up, self.down
-        prefix = self.prefix
-        t = self.tail
-        for s, e in letters:
-            c, d = up if e == 1 else down
-            q, t0 = divmod(t + s, c)
-            if t0 == 0 and prefix and prefix[-1][1] == -e:
-                t = prefix.pop()[0] + d * q
-            else:
-                prefix.append((t0, e))
-                t = d * q
-        self.tail = t + tail
-        return NormalForm(tuple(prefix), self.tail)
+def _push(u: NormalForm, letters, tail: int, G: BsPresentation) -> NormalForm:
+    """u a^{s_1} b^{e_1} ... a^{s_k} b^{e_k} a^{tail} in normal form, given
+    the (s, e) letters.  Crossing b^e turns a^t b^e into a^{t0} b^e a^{d q}
+    with t = c q + t0; when t0 = 0 right after b^-e, that is the pinch
+    b^-e a^{c q} b^e = a^{d q}."""
+    up, down = _carries(G)
+    prefix = list(u.prefix)
+    t = u.tail
+    for s, e in letters:
+        c, d = up if e == 1 else down
+        q, t0 = divmod(t + s, c)
+        if t0 == 0 and prefix and prefix[-1][1] == -e:
+            t = prefix.pop()[0] + d * q
+        else:
+            prefix.append((t0, e))
+            t = d * q
+    return NormalForm(tuple(prefix), t + tail)
 
 
 def normalize(w: GroupWord, G: BsPresentation) -> NormalForm:
@@ -347,7 +335,7 @@ def normalize(w: GroupWord, G: BsPresentation) -> NormalForm:
             letters.append((s, e))
             letters += [(0, e)] * (abs(exp) - 1)
             s = 0
-    return _Builder(G).push(letters, s)
+    return _push(IDENTITY, letters, s, G)
 
 
 def word_nf(text: str, G: BsPresentation) -> NormalForm:
@@ -356,7 +344,7 @@ def word_nf(text: str, G: BsPresentation) -> NormalForm:
 
 
 def multiply(u: NormalForm, v: NormalForm, G: BsPresentation) -> NormalForm:
-    return _Builder(G, seed=u).push(v.prefix, v.tail)
+    return _push(u, v.prefix, v.tail, G)
 
 
 def invert(u: NormalForm, G: BsPresentation) -> NormalForm:
@@ -366,7 +354,7 @@ def invert(u: NormalForm, G: BsPresentation) -> NormalForm:
     for s, e in reversed(u.prefix):
         letters.append((-t, -e))
         t = s
-    return _Builder(G).push(letters, -t)
+    return _push(IDENTITY, letters, -t, G)
 
 
 def power(u: NormalForm, z: int, G: BsPresentation) -> NormalForm:

@@ -1,11 +1,10 @@
 import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
-from bsrig import hecke
+from bsrig import cli, hecke, rigidity
 from bsrig.cli import run
 from bsrig.fusion import RootOfUnity
 from bsrig.oracles import oracle_exchange_partners, random_word
@@ -147,6 +146,9 @@ def test_help_names_the_equals_form_and_the_radius(capsys):
 def test_exchange(capsys):
     code, out, _ = invoke(capsys, "--group", "2,3", "exchange", "1/3", "B")
     assert (code, out) == (0, "2/9 5/9 8/9\n")
+    # an integer root is a whole number of turns
+    whole = invoke(capsys, "--group", "2,3", "exchange", "1", "B")
+    assert whole == invoke(capsys, "--group", "2,3", "exchange", "0/1", "B") == (0, "0/1 1/3 2/3\n", "")
 
 
 def test_exchange_lists_partners_by_angle(capsys):
@@ -239,7 +241,6 @@ def test_reduce_round_trip(capsys):
         assert out == out2
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string limit")
 def test_exponent_past_the_digit_limit_is_exact(capsys):
     # run lifts the interpreter's limit on int <-> str conversion, which a
     # 5000-digit exponent exceeds outside it
@@ -256,11 +257,15 @@ EXIT_CODES = [
     (1, ["--group", "2,3", "fixed", "b"], "hyperbolic"),
     (1, ["--group", "2,3", "fixed", "a", "--radius", "-1"], "nonnegative"),
     (1, ["witness", "2,2"], ""),
-    # usage errors: a missing or malformed group, an unknown flag or subcommand
+    # usage errors: a missing or malformed group, a malformed pair, an
+    # unknown flag or subcommand, or none at all
     (2, ["reduce", "b"], "usage"),
     (2, ["--group", "2,0", "reduce", "b"], ""),
+    (2, ["iso", "2", "3,4"], "expected 'n,m'"),
+    (2, ["iso", "x,y", "2,3"], "expected two integers"),
     (2, ["--group", "2,3", "reduce", "b", "--bogus"], ""),
     (2, ["frobnicate"], ""),
+    (2, [], "missing subcommand"),
     # an internal error: the profile postcondition g a^L = a^r g fails
     (3, ["--group", "2,3", "profile", "b"], "bug"),
 ]
@@ -276,6 +281,31 @@ def test_exit_codes(capsys, monkeypatch):
             got, out, err = invoke(capsys, *argv)
         assert got == code and err_part in err, argv
         assert (out != "" and err == "") if code == 0 else out == "", argv
+
+
+def test_an_unexpected_runtime_error_is_a_bug(capsys, monkeypatch):
+    # no library code raises a plain RuntimeError, so one that escapes a
+    # handler, a RecursionError say, is a bug and never bad input
+    for exc in (RuntimeError("x"), RecursionError("maximum recursion depth exceeded")):
+
+        def broken(a, G):
+            raise exc
+
+        reduce = cli.COMMANDS["reduce"]._replace(handler=broken)
+        monkeypatch.setitem(cli.COMMANDS, "reduce", reduce)
+        code, out, err = invoke(capsys, "--group", "2,3", "reduce", "b")
+        assert (code, out) == (3, "") and str(exc) in err and "bug" in err, exc
+
+
+def test_a_failing_selftest_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(rigidity, "is_isomorphic", lambda n1, m1, n2, m2: False)
+    code, out, err = invoke(capsys, "selftest")
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL isomorphism matches the multiset criterion on [-4,4]"
+    ]
+    assert lines[-1].endswith(" passed, 1 failed")
 
 
 def test_selftest_deterministic(capsys):

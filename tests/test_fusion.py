@@ -6,7 +6,6 @@ from math import gcd
 import pytest
 
 from bsrig import (
-    BimoduleSum,
     Irreducible,
     ONE,
     RootOfUnity,
@@ -24,12 +23,14 @@ from bsrig import (
     word_nf,
 )
 from bsrig.oracles import (
+    canonical_sum,
     enumerate_omega,
     isomorphic,
     oracle_decompose_self_inverse,
     oracle_exchange_partners,
     random_nf,
 )
+from bsrig.words import InternalError
 
 G23 = bs(2, 3)
 
@@ -128,9 +129,9 @@ def test_isomorphic():
 
 
 def test_tensor_dims():
-    kb = BimoduleSum.of([Irreducible.coset_module(double_coset(word_nf("b", G23), G23))])
-    kB = BimoduleSum.of([Irreducible.coset_module(double_coset(word_nf("B", G23), G23))])
-    chi = BimoduleSum.of([Irreducible.character(RootOfUnity.of(1, 3))])
+    kb = canonical_sum([Irreducible.coset_module(double_coset(word_nf("b", G23), G23))])
+    kB = canonical_sum([Irreducible.coset_module(double_coset(word_nf("B", G23), G23))])
+    chi = canonical_sum([Irreducible.character(RootOfUnity.of(1, 3))])
     # dimensions of a relative tensor product multiply on each side
     def dims(x, y):
         return x.left_dim * y.left_dim, x.right_dim * y.right_dim
@@ -243,8 +244,27 @@ def test_decompose_matches_the_conjugate_loop_oracle():
     assert refused >= 50
 
 
+def test_a_leaf_with_two_conjugates_is_a_bug(monkeypatch):
+    # b in BS(3,4) has l = 3, r = 4 and two conjugates b a^i B, each with
+    # l = r = 4: one leaf holding both keeps the dimension sums at 12 = l r,
+    # so only the one-conjugate-per-leaf check sees the repeated term
+    G = bs(3, 4)
+    g = word_nf("b", G)
+    walk = candidates.residue_walk
+
+    def one_leaf_of_two(*args):
+        D, _ = next(walk(*args))
+        yield D, 2
+
+    cosets = decompose_self_inverse(g, G).terms[4:]
+    assert [(t.left_dim, t.right_dim) for t in cosets] == [(4, 4)] * 2
+    monkeypatch.setattr(candidates, "residue_walk", one_leaf_of_two)
+    with pytest.raises(InternalError, match="2 conjugates of b share one leaf"):
+        decompose_self_inverse(g, G)
+
+
 def test_decompose_builds_the_canonical_order():
-    # the terms come out in BimoduleSum.of's order without its sort, on a
+    # the terms come out in canonical_sum's order without its sort, on a
     # grid of words a^s b^e a^t (b^f a^(s-t)), accepted and refused alike
     accepted = refused = 0
     for G in (bs(2, 3), bs(2, -3), bs(3, 4), bs(2, 2), bs(3, 6)):
@@ -258,7 +278,7 @@ def test_decompose_builds_the_canonical_order():
                         refused += 1
                         continue
                     out = decompose_self_inverse(g, G)
-                    assert out == BimoduleSum.of(out.terms) == oracle_decompose_self_inverse(g, G), (G, text)
+                    assert out == canonical_sum(out.terms) == oracle_decompose_self_inverse(g, G), (G, text)
                     accepted += 1
     assert (accepted, refused) == (980, 420)
 
@@ -387,7 +407,7 @@ def test_bimodule_sum_ordering():
         Irreducible.character(RootOfUnity.of(2, 3)),
         Irreducible.character(ONE),
     ]
-    s = BimoduleSum.of(terms)
+    s = canonical_sum(terms)
     assert s.as_json() == [
         {"char": "0/1"},
         {"char": "2/3"},
@@ -395,5 +415,5 @@ def test_bimodule_sum_ordering():
     ]
     # characters over unlike denominators still sort by angle
     chars = [RootOfUnity.of(x, d) for x, d in ((3, 4), (1, 2), (2, 5), (1, 3), (5, 6), (0, 1))]
-    mixed = BimoduleSum.of(Irreducible.character(w) for w in chars)
+    mixed = canonical_sum(Irreducible.character(w) for w in chars)
     assert [t.char for t in mixed.terms] == sorted(chars, key=lambda w: Fraction(w.num, w.den))

@@ -108,12 +108,12 @@ def test_profile_and_double_coset_work_is_the_prefix_check(monkeypatch):
     # neither the profile postcondition nor double_coset does group
     # arithmetic: the check that a^i g has the chosen prefix is a carry
     # pass, which still rejects a wrong translate index or digit
-    built = []
+    pushed = []
+    push = words._push
 
-    class CountingBuilder(words._Builder):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
+    def counting_push(*args):
+        pushed.append(args)
+        return push(*args)
 
     translate = hecke._translate
 
@@ -130,13 +130,13 @@ def test_profile_and_double_coset_work_is_the_prefix_check(monkeypatch):
         for text in ("a^5", "b", "B", "b^2 a B a^-1 b^3"):
             g = word_nf(text, G)
             with monkeypatch.context() as patch:
-                patch.setattr(words, "_Builder", CountingBuilder)
+                patch.setattr(words, "_push", counting_push)
                 coset_profile(g, G)
                 double_coset(g, G)
-                assert built == []
+                assert pushed == []
                 multiply(g, g, G)  # the counter sees group arithmetic
-                assert len(built) == 1
-            built.clear()
+                assert len(pushed) == 1
+            pushed.clear()
             if g.prefix:
                 for corrupt in (off_by_one, bumped):
                     with monkeypatch.context() as patch:
@@ -177,6 +177,7 @@ def test_profile_constant_on_double_cosets():
 def test_f_set_membership():
     assert f_set_member(2, G23)
     assert not f_set_member(5, G23)
+    assert not f_set_member(3, bs(4, 6))  # k = 2 does not divide 3
     assert f_set_member(6, bs(4, 6))
     assert not f_set_member(2, bs(4, 6))  # k alone needs s + t > 0
     assert f_set_member(2, bs(2, 4))  # n0 = 1 frees the exponent

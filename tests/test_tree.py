@@ -468,12 +468,12 @@ def test_vertex_distance_matches_multiplication():
 
 
 def test_classification_and_distance_do_no_group_arithmetic(monkeypatch):
-    built = []
+    pushed = []
+    push = words._push
 
-    class CountingBuilder(words._Builder):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
+    def counting_push(*args):
+        pushed.append(args)
+        return push(*args)
 
     def spell(*parts):
         return word_nf(" ".join(text for count, text in parts for _ in range(count)), G23)
@@ -482,15 +482,15 @@ def test_classification_and_distance_do_no_group_arithmetic(monkeypatch):
     hyperbolic = spell((50, "b a"), (1, "b a^2"), (50, "A B"))
     u = vertex_of(spell((100, "b a")), G23)
     v = vertex_of(spell((60, "b a"), (40, "a B")), G23)
-    monkeypatch.setattr(words, "_Builder", CountingBuilder)
+    monkeypatch.setattr(words, "_push", counting_push)
     assert isinstance(classify(elliptic, G23), Elliptic)
     assert isinstance(classify(hyperbolic, G23), Hyperbolic)
     for g in (elliptic, hyperbolic):
         assert len(cyclically_reduce(g, G23)[0].prefix) >= 50
     assert vertex_distance(u, v, G23) > 50
-    assert built == []
+    assert pushed == []
     multiply(u.rep, v.rep, G23)  # the counter sees group arithmetic
-    assert len(built) == 1
+    assert len(pushed) == 1
 
 
 def test_export_ball_extends_merged_runs_across_the_base_vertex():
@@ -539,19 +539,19 @@ def test_export_ball_formats_each_syllable_once_per_call(monkeypatch):
 
 
 def test_export_ball_formats_no_vertex_from_scratch(monkeypatch):
-    built, formatted = [], []
+    pushed, formatted = [], []
+    push = words._push
 
-    class CountingBuilder(words._Builder):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
+    def counting_push(*args):
+        pushed.append(args)
+        return push(*args)
 
     def counting_format(w):
         formatted.append(w)
         return format_word(w)
 
     centers = [vertex_of(word_nf(text, G23), G23) for text in BALL_CENTERS]
-    monkeypatch.setattr(words, "_Builder", CountingBuilder)
+    monkeypatch.setattr(words, "_push", counting_push)
     monkeypatch.setattr(tree, "format_word", counting_format)
     radius = 5
     for center in centers:
@@ -560,6 +560,6 @@ def test_export_ball_formats_no_vertex_from_scratch(monkeypatch):
         dot = export_ball(center, radius, G23)
         assert line in dot and dot.count('";\n') == 1 + 5 * (4**radius - 1) // 3
         assert 1 <= len(formatted) <= min(radius, center.rep.b_length) + 1, (center, len(formatted))
-    assert built == []
+    assert pushed == []
     multiply(centers[1].rep, centers[2].rep, G23)  # the counter sees group arithmetic
-    assert len(built) == 1
+    assert len(pushed) == 1
