@@ -47,7 +47,7 @@ def residue_walk(left: tuple, start: int, count: int, right, G: BsPresentation):
     """Yield (F, k) for the double cosets F of the candidates left a^i right,
     start <= i < start + count, where k > 0 candidates lie in F and the
     same F may come more than once; ``left`` and ``right`` are
-    prefixes, (s, e) letters a^s b^e.
+    normal-form prefixes, (s, e) letters a^s b^e.
 
     The candidates are built left to right in residue classes {i = start +
     M j : j < size} that share a normal-form prefix and have a tail alpha +

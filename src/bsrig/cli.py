@@ -9,11 +9,12 @@ positional argument such as ``-2,-3`` or ``-1/3`` follows a ``--``
 separator (``bsrig iso -- -2,-3 2,3``).
 ``--format json`` emits exactly one JSON document on stdout, the payload;
 text mode prints the text, or the payload where there is none.  Exit
-codes: 0 success, 1 domain error or failed selftest, 2 usage error, 3
-internal error (a broken invariant: a bug, never bad input).  ``fixed``
-prints ``absent`` (JSON ``"proven": true``) only when the radius is large
-enough to prove that no common fixed vertex exists; below that radius
-(``"proven": false``) it names the radius that would prove absence.
+codes: 0 success, 1 domain error, failed selftest or out of memory, 2
+usage error, 3 internal error (a broken invariant: a bug, never bad
+input).  ``fixed`` prints ``absent`` (JSON ``"proven": true``) only when
+the radius is large enough to prove that no common fixed vertex exists;
+below that radius (``"proven": false``) it names the radius that would
+prove absence.
 """
 
 from __future__ import annotations
@@ -50,15 +51,11 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 
 def _parse_root(text: str) -> fusion.RootOfUnity:
-    parts = text.split("/")
+    num, slash, den = text.partition("/")
     try:
-        if len(parts) == 1:
-            return fusion.RootOfUnity.of(int(parts[0]), 1)
-        if len(parts) == 2:
-            return fusion.RootOfUnity.of(int(parts[0]), int(parts[1]))
+        return fusion.RootOfUnity.of(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f"expected a fraction p/q, got {text!r}")
+        raise ValueError(f"expected a fraction p/q, got {text!r}") from None
 
 
 def _scalar(key: str, value):
@@ -133,8 +130,8 @@ def _fuse_selfinv(a, G):
 def _exchange(a, G):
     w = _parse_root(a.root)
     partners = fusion.exchange_partners(w, word_nf(a.word, G), G)
-    partners = sorted(partners, key=fusion.angle_key(partners))
-    return [str(u) for u in partners], " ".join(str(u) for u in partners)
+    partners = [str(u) for u in sorted(partners, key=fusion.angle_key(partners))]
+    return partners, " ".join(partners)
 
 
 def _invariants(a, G):
@@ -170,7 +167,7 @@ def _witness(a, G):
 def _selftest(a, G):
     from . import selftest  # with its oracles, loaded only for this command
 
-    passed, failed, lines = selftest.run_selftest(a.seed or 0)
+    passed, failed, lines = selftest.run_selftest(a.seed)
     result = {"passed": passed, "failed": failed}, "\n".join(lines)
     if failed:
         raise _Failed(*result)
@@ -230,7 +227,12 @@ COMMANDS = {
     "witness": Command(
         "sign witness for n,|m| with n != |m|", _witness, (_arg("pair"),), needs_group=False
     ),
-    "selftest": Command("run the acceptance checks at desk scale", _selftest, needs_group=False),
+    "selftest": Command(
+        "run the acceptance checks at desk scale",
+        _selftest,
+        (_arg("--seed", type=int, default=0),),
+        needs_group=False,
+    ),
 }
 
 
@@ -241,13 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--group", help="group parameters n,m (e.g. 2,3, 2,-3 or --group=-2,3)")
     parser.add_argument("--format", choices=["text", "json"], default=None)
-    parser.add_argument("--seed", type=int, default=None)
 
     # SUPPRESS keeps a subcommand-level absence from clobbering a value
     # given before the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json"], default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, command in COMMANDS.items():
@@ -325,6 +325,9 @@ def _dispatch(argv: list[str]) -> int:
         return 3
     except ValueError as exc:
         sys.stderr.write(f"bsrig: {exc}\n")
+        return 1
+    except MemoryError:
+        sys.stderr.write("bsrig: the command ran out of memory\n")
         return 1
     sys.stdout.write(out)
     return code

@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import attrgetter
 
-from .words import BsPresentation, InternalError, NormalForm, Value, _set
+from .words import BsPresentation, InternalError, NormalForm, Value, _set, invert
 from .hecke import DoubleCoset, coset_profile
 
 __all__ = [
@@ -103,11 +103,10 @@ def omega_member(w: RootOfUnity, G: BsPresentation) -> bool:
     G.require_standard("Omega membership")
     d = w.den
     q = abs(G.n0 * G.m0)
-    if q > 1:
+    g = gcd(d, q)
+    while g > 1:
+        d //= g
         g = gcd(d, q)
-        while g > 1:
-            d //= g
-            g = gcd(d, q)
     return G.k % d == 0
 
 
@@ -119,14 +118,6 @@ class Irreducible(Value):
     def __init__(self, char: RootOfUnity | None = None, coset: DoubleCoset | None = None):
         _set(self, "char", char)
         _set(self, "coset", coset)
-
-    @staticmethod
-    def character(w: RootOfUnity) -> "Irreducible":
-        return Irreducible(char=w)
-
-    @staticmethod
-    def coset_module(D: DoubleCoset) -> "Irreducible":
-        return Irreducible(coset=D)
 
     @property
     def left_dim(self) -> int:
@@ -140,11 +131,6 @@ class Irreducible(Value):
         if self.char is not None:
             return {"char": str(self.char)}
         return {"coset": str(self.coset), "l": self.left_dim, "r": self.right_dim}
-
-    def __str__(self) -> str:
-        if self.char is not None:
-            return f"K[{self.char}]"
-        return f"K({self.coset})"
 
 
 class BimoduleSum(Value):
@@ -184,9 +170,11 @@ def decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
     with a collapsing conjugate are rejected rather than mislabeled.
 
     The conjugates are P a^i P^-1, P the prefix of g, walked by residue
-    class of i as in hecke_convolve.  Pinching classes come first, and the
-    walk stops at the first double coset whose r differs from r(g), which
-    the refusal names.
+    class of i as in hecke_convolve.  P^-1 comes from ``invert``; the walk
+    takes its prefix and drops its tail, a power of a on the right that
+    leaves every double coset as it is.  Pinching classes come first, and
+    the walk stops at the first double coset whose r differs from r(g),
+    which the refusal names.
 
     Each leaf of the walk holds exactly one conjugate: two in one leaf
     would put P a^(i-j) P^-1 in <a>, so l(g) would divide 0 < |i - j| <
@@ -201,13 +189,10 @@ def decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
     chars = []
     for i in range(p.r):
         q = gcd(i, p.r)
-        chars.append(Irreducible.character(RootOfUnity(i // q, p.r // q)))
+        chars.append(Irreducible(char=RootOfUnity(i // q, p.r // q)))
     P = g.prefix
-    # P = a^s1 b^e1 ... a^sk b^ek, so P^-1 is the letters a^0 b^-ek,
-    # a^-sk b^-e(k-1), ..., a^-s2 b^-e1, then a^-s1, which moves only the tail
-    inverse = [(-s, -e) for s, (_, e) in zip((0, *(s for s, _ in reversed(P))), reversed(P))]
     cosets = []
-    for D, count in residue_walk(P, 1, p.l - 1, inverse, G):
+    for D, count in residue_walk(P, 1, p.l - 1, invert(NormalForm(P, 0), G).prefix, G):
         if D.profile.r != p.r:
             raise ValueError(
                 f"labeled decomposition does not close for {g}: the conjugates "
@@ -218,7 +203,7 @@ def decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleSum:
         # which 0 < i != j < l(g) rules out
         if count != 1:
             raise InternalError(f"internal error: {count} conjugates of {g} share one leaf")
-        cosets.append(Irreducible.coset_module(D))
+        cosets.append(Irreducible(coset=D))
     cosets.sort(key=lambda t: t.coset.sort_key())
     out = BimoduleSum((*chars, *cosets))
     if out.left_dim != p.l * p.r or out.right_dim != p.l * p.r:

@@ -302,7 +302,7 @@ def oracle_decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleS
     terms = []
     for i in range(p.r):
         q = gcd(i, p.r)
-        terms.append(Irreducible.character(RootOfUnity(i // q, p.r // q)))
+        terms.append(Irreducible(char=RootOfUnity(i // q, p.r // q)))
     ginv = invert(g, G)
     for i in range(1, p.l):
         conj = multiply(multiply(g, a_power(i), G), ginv, G)
@@ -312,7 +312,7 @@ def oracle_decompose_self_inverse(g: NormalForm, G: BsPresentation) -> BimoduleS
                 f"labeled decomposition does not close for {g}: the conjugate "
                 f"at i={i} has r={D.profile.r} instead of r(g)={p.r}"
             )
-        terms.append(Irreducible.coset_module(D))
+        terms.append(Irreducible(coset=D))
     out = canonical_sum(terms)
     if out.left_dim != p.l * p.r or out.right_dim != p.l * p.r:
         raise InternalError("internal error: dimension bookkeeping is inconsistent")

@@ -135,11 +135,8 @@ def sign_witness(n: int, m: int) -> SignWitness:
     n0, m0 = n // k, m // k
     # the least t with (n0 |m0|)^t > 2: n0 < |m0| are coprime, so n0 |m0| >= 2
     t = 2 if n0 * abs(m0) == 2 else 1
-    # exp(2 pi i / d) with |d| >= (n0 |m0|)^t > 2 needs no gcd: 1/d, or (|d| - 1)/|d| for d < 0
-    omega, mu = (
-        RootOfUnity(1, d) if d > 0 else RootOfUnity(-d - 1, -d)
-        for d in (k * n0 ** (t + 1) * m0**t, k * n0**t * m0 ** (t + 1))
-    )
+    omega = RootOfUnity.of(1, k * n0 ** (t + 1) * m0**t)
+    mu = RootOfUnity.of(1, k * n0**t * m0 ** (t + 1))
     G = bs(n, m)
     if omega.power(n) != mu.power(m):
         raise InternalError("internal error: witness relation omega^n = mu^m fails")

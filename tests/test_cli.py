@@ -257,6 +257,10 @@ EXIT_CODES = [
     (1, ["--group", "2,3", "fixed", "b"], "hyperbolic"),
     (1, ["--group", "2,3", "fixed", "a", "--radius", "-1"], "nonnegative"),
     (1, ["witness", "2,2"], ""),
+    (1, ["--group", "2,3", "invariants", "--depth", "-1"], "nonnegative"),
+    (1, ["--group", "2,3", "tree-ball", "e", "-1"], "nonnegative"),
+    (1, ["--group", "2,3", "exchange", "1/", "b"], "expected a fraction"),
+    (1, ["--group", "2,3", "exchange", "1/2/3", "b"], "expected a fraction"),
     # usage errors: a missing or malformed group, a malformed pair, an
     # unknown flag or subcommand, or none at all
     (2, ["reduce", "b"], "usage"),
@@ -266,6 +270,9 @@ EXIT_CODES = [
     (2, ["--group", "2,3", "reduce", "b", "--bogus"], ""),
     (2, ["frobnicate"], ""),
     (2, [], "missing subcommand"),
+    # --seed belongs to selftest alone
+    (2, ["--group", "2,3", "reduce", "b", "--seed", "1"], ""),
+    (2, ["--seed", "1", "--group", "2,3", "reduce", "b"], ""),
     # an internal error: the profile postcondition g a^L = a^r g fails
     (3, ["--group", "2,3", "profile", "b"], "bug"),
 ]
@@ -295,6 +302,21 @@ def test_an_unexpected_runtime_error_is_a_bug(capsys, monkeypatch):
         monkeypatch.setitem(cli.COMMANDS, "reduce", reduce)
         code, out, err = invoke(capsys, "--group", "2,3", "reduce", "b")
         assert (code, out) == (3, "") and str(exc) in err and "bug" in err, exc
+
+
+def test_a_failed_witness_check_is_a_bug(capsys, monkeypatch):
+    monkeypatch.setattr(rigidity, "omega_member", lambda w, G: False)
+    code, out, err = invoke(capsys, "witness", "2,3")
+    assert (code, out) == (3, "") and "outside Omega" in err and "bug" in err
+
+
+def test_running_out_of_memory_exits_1(capsys, monkeypatch):
+    def exhausted(a, G):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "reduce", cli.COMMANDS["reduce"]._replace(handler=exhausted))
+    code, out, err = invoke(capsys, "--group", "2,3", "reduce", "b")
+    assert (code, out, err) == (1, "", "bsrig: the command ran out of memory\n")
 
 
 def test_a_failing_selftest_check_exits_1(capsys, monkeypatch):

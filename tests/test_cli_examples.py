@@ -1,6 +1,7 @@
 """The README's command-line examples and library session, and the command
 run as a process."""
 
+import ast
 import doctest
 import os
 import re
@@ -85,6 +86,30 @@ def test_public_surface_is_the_layer_exports():
     assert all(hasattr(bsrig, name) for name in PUBLIC)
     # the checkers and samplers stay in their module
     assert not [name for name in oracles.__all__ if hasattr(bsrig, name)]
+
+
+def test_names_reached_through_a_module_are_documented():
+    # the public names a layer module defines outside its __all__ are the
+    # ones README lists as reached through their module
+    from bsrig import candidates, fusion, hecke, rigidity, tree, words
+
+    defined = set()
+    for module in (words, hecke, tree, fusion, rigidity, candidates):
+        for node in ast.parse(Path(module.__file__).read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            prefix = module.__name__.removeprefix("bsrig.")
+            defined |= {
+                f"{prefix}.{name}" for name in names
+                if not name.startswith("_") and name not in module.__all__
+            }
+    text = (ROOT / "README.md").read_text()
+    paragraph = text[text.index("reached through their module"):].split("\n\n")[0]
+    assert set(re.findall(r"`bsrig\.(\w+\.\w+)`", paragraph)) == defined
 
 
 def _bsrig(*argv):

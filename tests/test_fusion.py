@@ -56,9 +56,9 @@ def test_root_of_unity_is_a_read_only_value():
     assert w.__eq__((1, 3)) is NotImplemented
     assert len({w, RootOfUnity.of(-2, -6), RootOfUnity(2, 3)}) == 2
     # the labels and certificates that hold roots keep comparing by value
-    chi = Irreducible.character(RootOfUnity.of(4, 12))
-    assert chi == Irreducible.character(w) and hash(chi) == hash(Irreducible.character(w))
-    assert chi != Irreducible.character(RootOfUnity(2, 3))
+    chi = Irreducible(char=RootOfUnity.of(4, 12))
+    assert chi == Irreducible(char=w) and hash(chi) == hash(Irreducible(char=w))
+    assert chi != Irreducible(char=RootOfUnity(2, 3))
     wit = sign_witness(2, 3)
     assert wit == SignWitness(1, RootOfUnity(1, 12), RootOfUnity(1, 18))
     assert hash(wit) == hash(sign_witness(2, 3)) and wit != sign_witness(2, -3)
@@ -114,24 +114,24 @@ def test_char_of():
 
 
 def test_isomorphic():
-    kb = Irreducible.coset_module(double_coset(word_nf("b", G23), G23))
-    kb_conj = Irreducible.coset_module(double_coset(word_nf("a b A", G23), G23))
+    kb = Irreducible(coset=double_coset(word_nf("b", G23), G23))
+    kb_conj = Irreducible(coset=double_coset(word_nf("a b A", G23), G23))
     assert isomorphic(kb, kb_conj, G23)
     assert not isomorphic(
-        Irreducible.character(RootOfUnity.of(1, 3)),
-        Irreducible.character(RootOfUnity.of(2, 3)),
+        Irreducible(char=RootOfUnity.of(1, 3)),
+        Irreducible(char=RootOfUnity.of(2, 3)),
         G23,
     )
-    assert not isomorphic(kb, Irreducible.character(RootOfUnity.of(1, 3)), G23)
-    trivial_coset = Irreducible.coset_module(double_coset(word_nf("a^5", G23), G23))
-    assert isomorphic(trivial_coset, Irreducible.character(ONE), G23)
+    assert not isomorphic(kb, Irreducible(char=RootOfUnity.of(1, 3)), G23)
+    trivial_coset = Irreducible(coset=double_coset(word_nf("a^5", G23), G23))
+    assert isomorphic(trivial_coset, Irreducible(char=ONE), G23)
     assert (kb.left_dim, kb.right_dim) == (2, 3)
 
 
 def test_tensor_dims():
-    kb = canonical_sum([Irreducible.coset_module(double_coset(word_nf("b", G23), G23))])
-    kB = canonical_sum([Irreducible.coset_module(double_coset(word_nf("B", G23), G23))])
-    chi = canonical_sum([Irreducible.character(RootOfUnity.of(1, 3))])
+    kb = canonical_sum([Irreducible(coset=double_coset(word_nf("b", G23), G23))])
+    kB = canonical_sum([Irreducible(coset=double_coset(word_nf("B", G23), G23))])
+    chi = canonical_sum([Irreducible(char=RootOfUnity.of(1, 3))])
     # dimensions of a relative tensor product multiply on each side
     def dims(x, y):
         return x.left_dim * y.left_dim, x.right_dim * y.right_dim
@@ -261,6 +261,14 @@ def test_a_leaf_with_two_conjugates_is_a_bug(monkeypatch):
     monkeypatch.setattr(candidates, "residue_walk", one_leaf_of_two)
     with pytest.raises(InternalError, match="2 conjugates of b share one leaf"):
         decompose_self_inverse(g, G)
+
+
+def test_a_walk_that_loses_a_leaf_is_a_bug(monkeypatch):
+    # b in BS(2,3) has l = 2, r = 3: without its one coset term the three
+    # characters total 3 on each side instead of l r = 6
+    monkeypatch.setattr(candidates, "residue_walk", lambda *args: iter(()))
+    with pytest.raises(InternalError, match="dimension bookkeeping"):
+        decompose_self_inverse(word_nf("b", G23), G23)
 
 
 def test_decompose_builds_the_canonical_order():
@@ -403,9 +411,9 @@ def test_contragredient_dimension_swap():
 
 def test_bimodule_sum_ordering():
     terms = [
-        Irreducible.coset_module(double_coset(word_nf("b", G23), G23)),
-        Irreducible.character(RootOfUnity.of(2, 3)),
-        Irreducible.character(ONE),
+        Irreducible(coset=double_coset(word_nf("b", G23), G23)),
+        Irreducible(char=RootOfUnity.of(2, 3)),
+        Irreducible(char=ONE),
     ]
     s = canonical_sum(terms)
     assert s.as_json() == [
@@ -415,5 +423,5 @@ def test_bimodule_sum_ordering():
     ]
     # characters over unlike denominators still sort by angle
     chars = [RootOfUnity.of(x, d) for x, d in ((3, 4), (1, 2), (2, 5), (1, 3), (5, 6), (0, 1))]
-    mixed = canonical_sum(Irreducible.character(w) for w in chars)
+    mixed = canonical_sum(Irreducible(char=w) for w in chars)
     assert [t.char for t in mixed.terms] == sorted(chars, key=lambda w: Fraction(w.num, w.den))

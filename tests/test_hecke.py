@@ -505,6 +505,16 @@ def test_convolution_work_follows_gcd(monkeypatch):
     assert calls == 16 and dict(prod.terms)[double_coset(IDENTITY, G23)] == 3**4
 
 
+def test_a_fractional_coefficient_is_a_bug(monkeypatch):
+    # T_b * T_B in BS(2,3) weighs each leaf by l(B) = 3 over the leaf's l;
+    # a leaf in the coset of b, with l = 2, would get the coefficient 3/2
+    b = double_coset(word_nf("b", G23), G23)
+    B = double_coset(word_nf("B", G23), G23)
+    monkeypatch.setattr(candidates, "residue_walk", lambda *args: iter([(b, 1)]))
+    with pytest.raises(InternalError, match="is not an integer"):
+        hecke_convolve(HeckeElement.single(b), HeckeElement.single(B), G23)
+
+
 def test_self_inverse_product_matches_decomposition():
     # T_g * T_{g^-1} = r(g) T_e + the sum of the decomposition's coset terms
     rng = random.Random(24)

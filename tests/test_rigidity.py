@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,10 +18,12 @@ from bsrig import (
     is_isomorphic,
     omega_member,
     recover_parameters,
+    rigidity,
     sign_witness,
     word_nf,
 )
 from bsrig.oracles import random_nf
+from bsrig.words import InternalError
 
 NONZERO = [v for v in range(-6, 7) if v]
 
@@ -152,6 +155,24 @@ def test_sign_witness_relations_hold_across_the_grid():
                 assert wit.mu.power(2 * m) != ONE
                 assert omega_member(wit.omega, G)
                 assert omega_member(wit.mu, G)
+
+
+def test_a_broken_witness_is_a_bug(monkeypatch):
+    # each re-verification of sign_witness against a construction that
+    # breaks it: roots of order d + 1 for (2,3) give omega^2 = 2/13 and
+    # mu^3 = 3/19; trivial roots keep the relation and have mu^6 = 1
+    order_d_plus_1 = SimpleNamespace(of=lambda num, den: RootOfUnity.of(num, den + 1))
+    trivial = SimpleNamespace(of=lambda num, den: ONE)
+    broken = [
+        ("RootOfUnity", order_d_plus_1, "relation omega"),
+        ("RootOfUnity", trivial, r"mu\^\(2m\) = 1"),
+        ("omega_member", lambda w, G: False, "outside Omega"),
+    ]
+    for name, value, message in broken:
+        with monkeypatch.context() as patch:
+            patch.setattr(rigidity, name, value)
+            with pytest.raises(InternalError, match=message):
+                sign_witness(2, 3)
 
 
 def test_obstruction_examples():

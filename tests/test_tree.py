@@ -168,6 +168,11 @@ def test_common_fixed_vertex_rejects_hyperbolic():
         common_fixed_vertex([word_nf("b", G23)], G23, 4)
 
 
+def test_common_fixed_vertex_needs_an_element():
+    with pytest.raises(ValueError, match="at least one element"):
+        common_fixed_vertex([], G23, 1)
+
+
 def test_common_fixed_vertex_instance_with_hyperbolic_product():
     g = word_nf("a^2", G23)
     h = word_nf("b a^3 b^-1", G23)

@@ -88,6 +88,13 @@ def test_parse_examples():
     assert parse_word("A^-2").syllables == (("a", 2),)
 
 
+def test_group_word_text_and_letters():
+    # the text form spells inverse letters with a negative exponent
+    assert str(parse_word("b a^2 B")) == "b a^2 b^-1"
+    with pytest.raises(ValueError, match="letter must be 'a' or 'b'"):
+        GroupWord.of([("c", 1)])
+
+
 def test_parse_errors_carry_offset():
     with pytest.raises(WordSyntaxError) as err:
         parse_word("a^2 c")
