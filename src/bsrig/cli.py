@@ -50,12 +50,17 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return n, m
 
 
+_FRACTION = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
+
+
 def _parse_root(text: str) -> fusion.RootOfUnity:
-    num, slash, den = text.partition("/")
-    try:
-        return fusion.RootOfUnity.of(int(num), int(den) if slash else 1)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected a fraction p/q, got {text!r}") from None
+    """The root of angle p/q written "p/q" or "p", in ASCII digits only: the
+    spaces, underscores and other digits that int() takes are refused."""
+    match = _FRACTION.fullmatch(text)
+    den = int(match[2] or 1) if match else 0
+    if not den:
+        raise ValueError(f"expected a fraction p/q, got {text!r}")
+    return fusion.RootOfUnity.of(int(match[1]), den)
 
 
 def _scalar(key: str, value):
@@ -304,10 +309,34 @@ def _attach_group(argv: list[str]) -> list[str]:
     return out + argv[end:]
 
 
+# the options the top-level parser declares, and whether each takes a value
+_TOP_LEVEL = {"-h": False, "--help": False, "--group": True, "--format": True}
+
+
+def _misplaced_option(argv: list[str]) -> str | None:
+    """The first option before the subcommand that the top-level parser does
+    not know, even as an abbreviation; argparse would read its value as the
+    subcommand and name neither."""
+    i = 0
+    while i < len(argv) and argv[i].startswith("-") and argv[i] != "--":
+        name, eq, _ = argv[i].partition("=")
+        abbreviated = name.startswith("--") and len(name) > 2
+        known = [opt for opt in _TOP_LEVEL if opt == name or abbreviated and opt.startswith(name)]
+        if not known:
+            return name
+        i += 2 if _TOP_LEVEL[known[0]] and not eq else 1
+    return None
+
+
 def _dispatch(argv: list[str]) -> int:
     parser = _build_parser()
+    argv = _attach_group(argv)
     try:
-        args = parser.parse_args(_attach_group(argv))
+        option = _misplaced_option(argv)
+        if option:
+            parser.error(f"unknown option {option!r} before the subcommand; "
+                         "a subcommand's options go after the subcommand")
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -15,6 +15,9 @@ The candidate oracles build each candidate d a^i e of a convolution, or
 each conjugate g a^i g^-1 of a self-inverse decomposition, by two products
 and canonicalise it on its own, instead of walking the candidates by
 residue class with a shared prefix.
+The ball oracle walks the tree breadth first, one sphere at a time, and
+sorts the labels and the edges at the end, instead of emitting them in
+output order.
 The exchange oracle solves L * angle(u) = r * angle(w) mod 1 in Fraction
 arithmetic, one division per solution, instead of listing integer residues.
 The commutation oracle decides g a^z = a^y g by comparing two products
@@ -36,14 +39,17 @@ from math import gcd
 
 from .fusion import ONE, BimoduleSum, Irreducible, RootOfUnity, angle_key, omega_member
 from .hecke import DoubleCoset, HeckeElement, coset_profile, double_coset
+from .tree import TreeVertex, _steps
 from .words import (
     BsPresentation,
     GroupWord,
     InternalError,
     NormalForm,
     WordSyntaxError,
+    _fmt_syllable,
     a_power,
     concat_words,
+    format_word,
     inverse_word,
     invert,
     multiply,
@@ -65,6 +71,7 @@ __all__ = [
     "oracle_candidate_convolve",
     "oracle_decompose_self_inverse",
     "oracle_exchange_partners",
+    "oracle_export_ball",
     "enumerate_omega",
     "isomorphic",
     "random_word",
@@ -328,6 +335,81 @@ def oracle_exchange_partners(w: RootOfUnity, g: NormalForm, G: BsPresentation) -
     target = Fraction(w.num * p.r, w.den)
     angles = ((target + j) / p.L for j in range(abs(p.L)))
     return {RootOfUnity.of(u.numerator, u.denominator) for u in angles}
+
+
+class _Syllables(dict):
+    """The text " x^k" of each exponent k of one letter x, formatted on first use."""
+
+    def __init__(self, letter: str):
+        self.letter = letter
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = f" {_fmt_syllable(self.letter, k)}"
+        return text
+
+
+def _grow(sphere: list, children: list, a: _Syllables, b: _Syllables, edges: list) -> list:
+    """The children of the labelled vertices (label, stem, run, c) in sphere,
+    where run is the signed exponent of the label's last b-run, c its sign
+    and stem the label before it; a vertex steps by children[c].  A child's
+    label is its parent's extended by one syllable, from the texts in a and
+    b, not re-formatted; a step with s = 0 merges into the last b-run (b
+    becomes b^2).  The ball edge between the two goes to edges."""
+    grown = []
+    for label, stem, run, c in sphere:
+        for s, e in children[c]:
+            if s:  # run = 0 only at the base vertex, whose label e is dropped
+                st, r = (label + a[s] if run else a[s][1:]), e
+            else:
+                st, r = stem, run + e
+            child = st + b[r] if st else b[r][1:]
+            if e == 1:  # child b^-1 <a> = parent: the edge child<a^n> runs from child to parent
+                edges.append((child, label, child))
+            else:  # child = parent a^s b^-1 <a>: the range of the edge parent a^s <a^n>
+                edges.append((label, child, st if s else label))
+            grown.append((child, st, r, e))
+    return grown
+
+
+def oracle_export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
+    """export_ball by a breadth-first walk of the ball as a tree rooted at
+    the base vertex, which then sorts the labels and the edges.  Each vertex
+    steps to its children, the steps of _steps but the pinch; only the path
+    from the centre toward the base vertex also steps up, skipping the
+    branch it came from.  A child's label is its parent's plus one
+    syllable, and format_word runs once, for the farthest ancestor of the
+    centre within the radius."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    # children[c]: the steps out of a vertex whose last b-run has sign c
+    children = [[step for step in _steps(G, c) if step] for c in (0, 1, -1)]
+    a, b = _Syllables("a"), _Syllables("b")
+    prefix = center.rep.prefix
+    top = len(prefix) - min(radius, len(prefix))
+    label = format_word(NormalForm(prefix[:top], 0))
+    run = 0
+    for s, e in reversed(prefix[:top]):  # the last b-run: syllables back to the first with s != 0
+        run += e
+        if s:
+            break
+    edges: list[tuple[str, str, str]] = []
+    path = [(label, label.rpartition(" ")[0], run, (run > 0) - (run < 0))]
+    for step in prefix[top:]:  # a sphere of one vertex takes the same steps whatever its c
+        path += _grow(path[-1:], [[step]] * 3, a, b, edges)
+    labels = [vertex[0] for vertex in path]
+    for up, root in zip(range(radius), reversed(path)):  # root lies up steps above the centre
+        skip = prefix[len(prefix) - up] if up else None  # the branch toward the centre
+        steps = [[step for step in children[root[3]] if step != skip]] * 3
+        sphere = [root]
+        for _ in range(radius - up):
+            sphere = _grow(sphere, steps, a, b, edges)
+            steps = children
+            labels += [vertex[0] for vertex in sphere]
+    labels.sort()
+    edges.sort()
+    vertices = '";\n  "'.join(labels)
+    lines = [f'  "{src}" -> "{dst}" [label="{lab}"];\n' for src, dst, lab in edges]
+    return f'digraph bass_serre_ball {{\n  "{vertices}";\n{"".join(lines)}}}\n'
 
 
 def enumerate_omega(G: BsPresentation, max_den: int) -> list[RootOfUnity]:

@@ -8,8 +8,8 @@ zeroed, an edge the NormalForm with tail reduced into [0, |n|).  The
 vertex rep spells the geodesic from the base vertex <a>, so adjacent
 vertices differ by one letter a^s b^e at the end of the longer rep, and
 geodesics part where reps do: no multiplication needed.  A ball is
-exported by the same rule, walked as a tree: labels extend their
-parents' by one syllable, whose text is formatted once per call.
+exported by the same rule, in one depth-first walk that extends each
+label by one syllable and emits the lines already in output order.
 
 An element is elliptic iff its cyclically reduced core is an a-power;
 otherwise it is hyperbolic and translates along an axis by the cyclically
@@ -164,40 +164,6 @@ def common_fixed_vertex(
     return None
 
 
-class _Syllables(dict):
-    """The text " x^k" of each exponent k of one letter x, formatted on first use."""
-
-    def __init__(self, letter: str):
-        self.letter = letter
-
-    def __missing__(self, k: int) -> str:
-        text = self[k] = f" {_fmt_syllable(self.letter, k)}"
-        return text
-
-
-def _grow(sphere: list, children: list, a: _Syllables, b: _Syllables, edges: list) -> list:
-    """The children of the labelled vertices (label, stem, run, c) in sphere,
-    where run is the signed exponent of the label's last b-run, c its sign
-    and stem the label before it; a vertex steps by children[c].  A child's
-    label is its parent's extended by one syllable, from the texts in a and
-    b, not re-formatted; a step with s = 0 merges into the last b-run (b
-    becomes b^2).  The ball edge between the two goes to edges."""
-    grown = []
-    for label, stem, run, c in sphere:
-        for s, e in children[c]:
-            if s:  # run = 0 only at the base vertex, whose label e is dropped
-                st, r = (label + a[s] if run else a[s][1:]), e
-            else:
-                st, r = stem, run + e
-            child = st + b[r] if st else b[r][1:]
-            if e == 1:  # child b^-1 <a> = parent: the edge child<a^n> runs from child to parent
-                edges.append((child, label, child))
-            else:  # child = parent a^s b^-1 <a>: the range of the edge parent a^s <a^n>
-                edges.append((label, child, st if s else label))
-            grown.append((child, st, r, e))
-    return grown
-
-
 def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
     """DOT description of the ball subgraph: vertex label = canonical coset
     word, directed edges source -> range with the edge coset word as label,
@@ -205,42 +171,75 @@ def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:
     ball has 1 + d((d-1)^R - 1)/(d - 2) vertices at radius R (1 + 2R for
     d = 2), and one edge fewer.
 
-    A walk of the ball as a tree rooted at the base vertex, with no visited
-    set and no group arithmetic.  Each vertex steps to its children, the
-    steps of _steps but the pinch; only the path from the centre toward the
-    base vertex also steps up, skipping the branch it came from.  A child's
-    label is its parent's plus one syllable, whose text is formatted once
-    per call, not once per vertex; edge labels are read off the same
-    strings, and format_word runs once, for the farthest ancestor of the
-    centre within the radius."""
+    One depth-first walk emits the lines in output order, with no group
+    arithmetic and no sort of the ball.  A vertex's children are its label
+    plus one syllable, " a^s b^k" (s >= 1), or "b^k" and "a^s b^k" at the
+    base vertex e.  Labels below a vertex go on from its label with a space,
+    and a suffix that extends a sibling's goes on with ^ or a digit: taken
+    in the text order of their suffixes, the labels come sorted, e last.
+    Each vertex v emits its edges v a^s <a^n> into v a^s b^-1 <a> that end
+    in the ball, in range order.  A child spends |k| of its parent's budget
+    radius - dist(v, centre); along the centre's syllables, dist is read off
+    the centre's rep.  Off them, equal budgets give equal lines up to the
+    label, so each budget's lines are built once, with \\0 for the label."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    # children[c]: the steps out of a vertex whose last b-run has sign c
-    children = [[step for step in _steps(G, c) if step] for c in (0, 1, -1)]
-    a, b = _Syllables("a"), _Syllables("b")
+    limit = {-1: abs(G.n), 1: abs(G.m)}  # the steps (s, e) of _steps have s < limit[e]
     prefix = center.rep.prefix
-    top = len(prefix) - min(radius, len(prefix))
-    label = format_word(NormalForm(prefix[:top], 0))
-    run = 0
-    for s, e in reversed(prefix[:top]):  # the last b-run: syllables back to the first with s != 0
-        run += e
-        if s:
-            break
-    edges: list[tuple[str, str, str]] = []
-    path = [(label, label.rpartition(" ")[0], run, (run > 0) - (run < 0))]
-    for step in prefix[top:]:  # a sphere of one vertex takes the same steps whatever its c
-        path += _grow(path[-1:], [[step]] * 3, a, b, edges)
-    labels = [vertex[0] for vertex in path]
-    for up, root in zip(range(radius), reversed(path)):  # root lies up steps above the centre
-        skip = prefix[len(prefix) - up] if up else None  # the branch toward the centre
-        steps = [[step for step in children[root[3]] if step != skip]] * 3
-        sphere = [root]
-        for _ in range(radius - up):
-            sphere = _grow(sphere, steps, a, b, edges)
-            steps = children
-            labels += [vertex[0] for vertex in sphere]
-    labels.sort()
-    edges.sort()
-    vertices = '";\n  "'.join(labels)
-    lines = [f'  "{src}" -> "{dst}" [label="{lab}"];\n' for src, dst, lab in edges]
-    return f'digraph bass_serre_ball {{\n  "{vertices}";\n{"".join(lines)}}}\n'
+    size = len(prefix)
+    a = {s: f" {_fmt_syllable('a', s)}" if s else "" for s in range(max(limit.values()))}
+    b = {k: f" {_fmt_syllable('b', k)}" for k in range(-radius - 1, radius + 1) if k}
+    heads = sorted(range(1, len(a)), key=a.__getitem__)
+    exps = sorted(range(1, radius + 1), key=str)
+    parts = {0: ('  "\0";\n', "", "")}  # the lines of an off-centre vertex, with \0 for its label
+
+    def grow(v: str, budget: int, i: int) -> tuple[str, str, str]:
+        """The vertex lines, v's edge lines but v<a^n>'s and the edge lines below v, of the ball at
+        v, which spells the centre's first i letters if i < size; v = "" is the base vertex."""
+        off = [x for x in exps if x <= budget] if budget > 0 else []  # off the centre
+        spans = nears = (off[:1], off, off[1:])  # in text order: " b" < " b^-x" < " b^x"
+        s0 = e0 = run = 0
+        if i < size:  # the centre's next syllable a^s0 b^(e0 run), and the b-runs along it
+            s0, e0 = prefix[i]
+            run = next((j for j in range(i + 1, size) if prefix[j][0]), size) - i
+            low, high = max(1, -budget), budget + 2 * run
+            for k in range(e0 * (radius + 1), e0 * (high + 2), e0):  # b-runs beyond the radius
+                if k not in b:
+                    b[k] = f" {_fmt_syllable('b', k)}"
+            near = sorted(range(low, high + 1), key=str)
+            nears = (near[:low == 1], near, near[low == 1:])
+        cut = 0 if v else 1  # the base vertex's children drop the leading space
+        vertices = [f'  "{v}";\n'] if v and budget >= 0 else []
+        own, edges = [], []
+        for s in heads if v else (*heads, 0):
+            head = v + a[s]
+            for j, e in enumerate((1, -1, 1)):
+                along = s == s0 and e == e0  # the centre's next syllable
+                for x in (nears if along else spans)[j] if s < limit[e] else ():
+                    k = e * x
+                    on = along and x <= run  # spells more of the centre
+                    left = budget + x if on else budget - x + 2 * run * along
+                    w = (head + b[k])[cut:]
+                    if k == -1 and budget >= 0:  # v a^s <a^n> into w
+                        own.append(f'  "{v or "e"}" -> "{w}" [label="{head[cut:] or "e"}"];\n')
+                    r0 = (head + b[k - 1])[cut:] if k != 1 else v or "e"  # w<a^n> into r0<a>
+                    r0_in_ball = left or (e < 0 and x < run if on else e > 0)
+                    edge = f'  "{w}" -> "{r0}" [label="{w}"];\n' if r0_in_ball else ""
+                    if on and x == run:  # the centre or its next syllable
+                        mine, ahead, below = grow(w, left, i + run)
+                    else:  # each budget's lines are built once
+                        part = parts[left] = parts.get(left) or grow("\0", left, size)
+                        mine, ahead = part[0].replace("\0", w), part[1].replace("\0", w)
+                        below = part[2].replace("\0", w)
+                    vertices.append(mine)
+                    first = b[k - 1] < b[k] + " a" if k != 1 else v
+                    edges += (edge, ahead, below) if first else (ahead, edge, below)
+        if not v:  # e sorts after every other label
+            return "".join(vertices + ['  "e";\n'] * (budget >= 0)), "", "".join(edges + own)
+        return "".join(vertices), "".join(own), "".join(edges)
+
+    # the walk starts at e, or at the centre's last syllable boundary outside the ball
+    start = next((i for i in range(size - radius - 1, 0, -1) if prefix[i][0]), 0)
+    v = format_word(NormalForm(prefix[:start], 0)) if start else ""
+    vertices, own, below = grow(v, radius - size + start, start)
+    return f"digraph bass_serre_ball {{\n{vertices}{own}{below}}}\n"

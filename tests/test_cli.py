@@ -261,6 +261,10 @@ EXIT_CODES = [
     (1, ["--group", "2,3", "tree-ball", "e", "-1"], "nonnegative"),
     (1, ["--group", "2,3", "exchange", "1/", "b"], "expected a fraction"),
     (1, ["--group", "2,3", "exchange", "1/2/3", "b"], "expected a fraction"),
+    # a root is ASCII digits only: no underscore, space or other script
+    (1, ["--group", "2,3", "exchange", "1_0/3", "B"], "expected a fraction"),
+    (1, ["--group", "2,3", "exchange", "--", " 1/3", "B"], "expected a fraction"),
+    (1, ["--group", "2,3", "exchange", "\u0661/3", "B"], "expected a fraction"),
     # usage errors: a missing or malformed group, a malformed pair, an
     # unknown flag or subcommand, or none at all
     (2, ["reduce", "b"], "usage"),
@@ -270,9 +274,11 @@ EXIT_CODES = [
     (2, ["--group", "2,3", "reduce", "b", "--bogus"], ""),
     (2, ["frobnicate"], ""),
     (2, [], "missing subcommand"),
-    # --seed belongs to selftest alone
+    # --seed belongs to selftest alone; an option the top-level parser does
+    # not know, before the subcommand, is named
     (2, ["--group", "2,3", "reduce", "b", "--seed", "1"], ""),
-    (2, ["--seed", "1", "--group", "2,3", "reduce", "b"], ""),
+    (2, ["--seed", "1", "--group", "2,3", "reduce", "b"], "'--seed' before the subcommand"),
+    (2, ["--bogus", "1", "--group", "2,3", "reduce", "b"], "'--bogus' before the subcommand"),
     # an internal error: the profile postcondition g a^L = a^r g fails
     (3, ["--group", "2,3", "profile", "b"], "bug"),
 ]

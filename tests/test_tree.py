@@ -26,7 +26,7 @@ from bsrig import (
     word_nf,
 )
 from bsrig import tree, words
-from bsrig.oracles import random_elliptic, random_nf
+from bsrig.oracles import oracle_export_ball, random_elliptic, random_nf
 
 G23 = bs(2, 3)
 
@@ -521,6 +521,57 @@ def test_export_ball_extends_long_merged_runs():
                 assert export_ball(center, radius, G) == _reference_ball(center, radius, G), (G, word, radius)
 
 
+def test_export_ball_orders_two_digit_exponents_as_text():
+    # a^10 sorts before a^2 as text, the one place where the suffix order
+    # of the walk differs from numeric order
+    cases = 0
+    for G in (bs(2, 13), bs(12, 13), bs(-11, 12)):
+        for word in ("e", "a^10 b", "a^2 B", "a^11 B a^3 b"):
+            center = vertex_of(word_nf(word, G), G)
+            for radius in range(3):
+                assert export_ball(center, radius, G) == _reference_ball(center, radius, G), (G, word, radius)
+                cases += 1
+    assert cases == 36
+
+
+def _ball_lines(dot):
+    """The vertex labels and the (source, range) pairs of the edges, in the order of the DOT text."""
+    lines = dot.splitlines()[1:-1]
+    vertices = [ln[3:-2] for ln in lines if "->" not in ln]
+    edges = [tuple(ln[3:].split('" [label=')[0].split('" -> "')) for ln in lines if "->" in ln]
+    return vertices, edges
+
+
+def test_export_ball_lines_are_in_output_order():
+    rng = random.Random(31)
+    with_base = 0
+    for G in DIFFERENTIAL_GROUPS + [bs(2, 13), bs(-11, 12)]:
+        for _ in range(6):
+            center = _random_vertex(rng, G, rng.randint(0, 5))
+            radius = rng.randint(0, 4 if abs(G.n) + abs(G.m) < 9 else 2)
+            vertices, edges = _ball_lines(export_ball(center, radius, G))
+            assert all(u < v for u, v in zip(vertices, vertices[1:])), (G, center, radius)
+            assert all(f < g for f, g in zip(edges, edges[1:])), (G, center, radius)
+            assert len(edges) == len(vertices) - 1
+            if "e" in vertices:  # the base vertex and its edges come last
+                with_base += 1
+                base_edges = [f for f in edges if f[0] == "e"]
+                assert vertices[-1] == "e" and edges[len(edges) - len(base_edges):] == base_edges
+    assert with_base >= 10
+
+
+def test_export_ball_matches_the_breadth_first_oracle():
+    # 432 (group, centre, radius) cases against the sorted breadth-first walk
+    rng = random.Random(32)
+    cases = 0
+    for G in DIFFERENTIAL_GROUPS + [bs(1, 1), bs(-3, -5)]:
+        for center in [_random_vertex(rng, G, b) for b in (0, 1, 2, 3, 4, 5)]:
+            for radius in range(6):
+                assert export_ball(center, radius, G) == oracle_export_ball(center, radius, G), (G, center, radius)
+                cases += 1
+    assert cases == 432
+
+
 BALL_CENTERS = ("e", "b^3", "a B^2", "b a b^2", "b^2 a b a B^4")
 
 
@@ -564,7 +615,9 @@ def test_export_ball_formats_no_vertex_from_scratch(monkeypatch):
         formatted.clear()
         dot = export_ball(center, radius, G23)
         assert line in dot and dot.count('";\n') == 1 + 5 * (4**radius - 1) // 3
-        assert 1 <= len(formatted) <= min(radius, center.rep.b_length) + 1, (center, len(formatted))
+        assert len(formatted) <= min(radius, center.rep.b_length) + 1, (center, len(formatted))
     assert pushed == []
-    multiply(centers[1].rep, centers[2].rep, G23)  # the counter sees group arithmetic
-    assert len(pushed) == 1
+    formatted.clear()
+    tree.format_word(centers[1].rep)  # the counters see a call through the patched names
+    multiply(centers[1].rep, centers[2].rep, G23)
+    assert len(formatted) == 1 and len(pushed) == 1
