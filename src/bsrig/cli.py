@@ -37,25 +37,33 @@ class _Failed(Exception):
     """A result that is still printed, with exit code 1."""
 
 
+# every number on the command line, in ASCII digits only: the spaces,
+# underscores and other digits that int() takes are refused
+_INTEGER = "-?[0-9]+"
+_PAIR = re.compile(f"{_INTEGER},{_INTEGER}")
+_FRACTION = re.compile(f"({_INTEGER})(?:/({_INTEGER}))?")
+
+
 def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
+    if text.count(",") != 1:
         raise _UsageError(f"expected 'n,m', got {text!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise _UsageError(f"expected two integers in {text!r}") from None
+    if not _PAIR.fullmatch(text):
+        raise _UsageError(f"expected two integers in {text!r}")
+    n, m = map(int, text.split(","))
     if n == 0 or m == 0:
         raise _UsageError("group parameters must be nonzero")
     return n, m
 
 
-_FRACTION = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
+def _integer(text: str) -> int:
+    """An integer argument; argparse names the argument when this fails."""
+    if not re.fullmatch(_INTEGER, text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _parse_root(text: str) -> fusion.RootOfUnity:
-    """The root of angle p/q written "p/q" or "p", in ASCII digits only: the
-    spaces, underscores and other digits that int() takes are refused."""
+    """The root of angle p/q written "p/q" or "p"."""
     match = _FRACTION.fullmatch(text)
     den = int(match[2] or 1) if match else 0
     if not den:
@@ -108,13 +116,13 @@ def _fixed(a, G):
             return {"vertex": None, "proven": True}, "absent"
         text = f"none within radius {a.radius}; --radius {proof} finds one or proves absence"
         return {"vertex": None, "proven": False}, text
-    v, g0 = found
-    return {"vertex": str(v), "g0": format_word(g0)}, f"vertex={v} g0={format_word(g0)}"
+    vertex = str(found[0])  # the walk's g0 is the vertex's own rep
+    return {"vertex": vertex, "g0": vertex}, f"vertex={vertex} g0={vertex}"
 
 
 def _tree_ball(a, G):
     dot = tree.export_ball(tree.vertex_of(word_nf(a.center, G), G), a.radius, G)
-    return {"dot": dot}, dot.rstrip("\n")
+    return {"dot": dot}, dot
 
 
 def _coset(a, G):
@@ -211,10 +219,10 @@ COMMANDS = {
     "fixed": Command(
         "common fixed vertex of elliptic words",
         _fixed,
-        (_arg("words", nargs="+"), _arg("--radius", type=int, default=8, help=RADIUS_HELP)),
+        (_arg("words", nargs="+"), _arg("--radius", type=_integer, default=8, help=RADIUS_HELP)),
     ),
     "tree-ball": Command(
-        "DOT export of a tree ball", _tree_ball, (_arg("center"), _arg("radius", type=int))
+        "DOT export of a tree ball", _tree_ball, (_arg("center"), _arg("radius", type=_integer))
     ),
     "coset": Command("canonical double coset", _coset, WORD),
     "convolve": Command("double coset convolution", _convolve, TWO_WORDS),
@@ -223,7 +231,7 @@ COMMANDS = {
         "exchange partners of a root of unity", _exchange, (_arg("root", help="angle p/q"), *WORD)
     ),
     "invariants": Command(
-        "derived invariants of the group", _invariants, (_arg("--depth", type=int, default=3),)
+        "derived invariants of the group", _invariants, (_arg("--depth", type=_integer, default=3),)
     ),
     "iso": Command("isomorphism of two parameter pairs", _iso, TWO_PAIRS, needs_group=False),
     "obstruction": Command(
@@ -235,7 +243,7 @@ COMMANDS = {
     "selftest": Command(
         "run the acceptance checks at desk scale",
         _selftest,
-        (_arg("--seed", type=int, default=0),),
+        (_arg("--seed", type=_integer, default=0),),
         needs_group=False,
     ),
 }
@@ -289,62 +297,48 @@ def run(argv: list[str]) -> int:
         sys.set_int_max_str_digits(limit)
 
 
-_PAIR = re.compile(r"-?\d+,-?\d+")
-
-
-def _attach_group(argv: list[str]) -> list[str]:
-    """``--group V`` as ``--group=V`` when V is a pair, before any ``--``,
-    so that argparse does not read a negative n such as ``-2,3`` as an
-    option."""
-    end = argv.index("--") if "--" in argv else len(argv)
-    out = []
-    i = 0
-    while i < end:
-        if argv[i] == "--group" and i + 1 < end and _PAIR.fullmatch(argv[i + 1]):
-            out.append(f"--group={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
-    return out + argv[end:]
-
-
 # the options the top-level parser declares, and whether each takes a value
 _TOP_LEVEL = {"-h": False, "--help": False, "--group": True, "--format": True}
 
 
-def _misplaced_option(argv: list[str]) -> str | None:
-    """The first option before the subcommand that the top-level parser does
-    not know, even as an abbreviation; argparse would read its value as the
-    subcommand and name neither."""
+def _leading_options(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """argv with each ``--group V`` before the subcommand joined into
+    ``--group=V`` when V is a pair, so that argparse does not read a
+    negative n such as ``-2,3`` as an option.  An option there that the
+    top-level parser does not know, even as an abbreviation, is a usage
+    error that names it; argparse would read its value as the subcommand
+    and name neither."""
+    out = []
     i = 0
     while i < len(argv) and argv[i].startswith("-") and argv[i] != "--":
         name, eq, _ = argv[i].partition("=")
         abbreviated = name.startswith("--") and len(name) > 2
         known = [opt for opt in _TOP_LEVEL if opt == name or abbreviated and opt.startswith(name)]
         if not known:
-            return name
-        i += 2 if _TOP_LEVEL[known[0]] and not eq else 1
-    return None
+            parser.error(f"unknown option {name!r} before the subcommand; "
+                         "a subcommand's options go after the subcommand")
+        if eq or not _TOP_LEVEL[known[0]]:
+            out.append(argv[i])
+            i += 1
+        elif name == "--group" and i + 1 < len(argv) and _PAIR.fullmatch(argv[i + 1]):
+            out.append(f"--group={argv[i + 1]}")
+            i += 2
+        else:
+            out += argv[i : i + 2]
+            i += 2
+    return out + argv[i:]
 
 
 def _dispatch(argv: list[str]) -> int:
     parser = _build_parser()
-    argv = _attach_group(argv)
     try:
-        option = _misplaced_option(argv)
-        if option:
-            parser.error(f"unknown option {option!r} before the subcommand; "
-                         "a subcommand's options go after the subcommand")
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_leading_options(argv, parser))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         (payload, text), code = _call(args)
         if args.format == "json" or text is None:
-            out = json.dumps(payload, separators=(",", ":")) + "\n"
-        else:
-            out = text + "\n"
+            text = json.dumps(payload, separators=(",", ":"))
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"bsrig: {exc}\n")
@@ -358,7 +352,9 @@ def _dispatch(argv: list[str]) -> int:
     except MemoryError:
         sys.stderr.write("bsrig: the command ran out of memory\n")
         return 1
-    sys.stdout.write(out)
+    sys.stdout.write(text)
+    if not text.endswith("\n"):  # a DOT text ends in its own newline
+        sys.stdout.write("\n")
     return code
 
 

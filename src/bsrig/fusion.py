@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import attrgetter
 
-from .words import BsPresentation, InternalError, NormalForm, Value, _set, invert
+from .words import BsPresentation, InternalError, NormalForm, Value, invert
 from .hecke import DoubleCoset, coset_profile
 
 __all__ = [
@@ -44,10 +44,10 @@ class RootOfUnity:
     A read-only value: ``num`` and ``den`` have no setters, and equality and
     hashing go by the pair.  Exchange partners build one per solution, so
     it stays outside the ``words.Value`` base: that base refuses plain
-    assignment, and its ``__init__`` stores each field through
-    ``object.__setattr__``, which makes a root cost about 2.5 times as much
-    to build as these direct stores into private slots (``exchange 1/3 b^8``
-    in BS(2,3), 256 partners: 0.22 against 0.15 ms).
+    assignment, so the constructor it derives from the slots stores each
+    field through ``object.__setattr__``, which makes a root cost about 2.5
+    times as much to build as these direct stores into private slots
+    (``exchange 1/3 b^8`` in BS(2,3), 256 partners: 0.22 against 0.15 ms).
     The constructor trusts its arguments to be reduced; ``of`` reduces.
     """
 
@@ -110,14 +110,10 @@ def omega_member(w: RootOfUnity, G: BsPresentation) -> bool:
     return G.k % d == 0
 
 
-class Irreducible(Value):
+class Irreducible(Value, optional=2):
     """Either a character twist (char set) or a coset module (coset set)."""
 
     __slots__ = ("char", "coset")
-
-    def __init__(self, char: RootOfUnity | None = None, coset: DoubleCoset | None = None):
-        _set(self, "char", char)
-        _set(self, "coset", coset)
 
     @property
     def left_dim(self) -> int:
@@ -138,9 +134,6 @@ class BimoduleSum(Value):
     ``oracles.canonical_sum``, so multiset equality is tuple equality."""
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[Irreducible, ...]):
-        _set(self, "terms", terms)
 
     @property
     def left_dim(self) -> int:

@@ -36,7 +36,6 @@ from .words import (
     NormalForm,
     Value,
     _carries,
-    _set,
     nf_sort_key,
 )
 
@@ -56,11 +55,6 @@ __all__ = [
 
 class CosetProfile(Value):
     __slots__ = ("l", "r", "L")
-
-    def __init__(self, l: int, r: int, L: int):
-        _set(self, "l", l)
-        _set(self, "r", r)
-        _set(self, "L", L)
 
     def as_json(self) -> dict:
         return {"l": self.l, "r": self.r, "L": self.L}
@@ -171,10 +165,6 @@ class DoubleCoset(Value):
 
     __slots__ = ("representative", "profile")
 
-    def __init__(self, representative: NormalForm, profile: CosetProfile):
-        _set(self, "representative", representative)
-        _set(self, "profile", profile)
-
     def sort_key(self) -> tuple:
         return nf_sort_key(self.representative)
 
@@ -231,10 +221,7 @@ def qc_member(g: NormalForm, G: BsPresentation) -> bool:
 class HeckeElement(Value):
     """Integer combination of double cosets, sparse and zero-free."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[DoubleCoset, int], ...]):
-        _set(self, "terms", terms)
+    __slots__ = ("terms",)  # ((DoubleCoset, coefficient), ...)
 
     @staticmethod
     def from_dict(coeffs: dict[DoubleCoset, int]) -> "HeckeElement":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .words import InternalError, Value, _set, bs
+from .words import InternalError, Value, bs
 from .fusion import ONE, RootOfUnity, omega_member
 
 __all__ = [
@@ -50,21 +50,12 @@ class SignWitness(Value):
 
     __slots__ = ("t", "omega", "mu")
 
-    def __init__(self, t: int, omega: RootOfUnity, mu: RootOfUnity):
-        _set(self, "t", t)
-        _set(self, "omega", omega)
-        _set(self, "mu", mu)
-
     def as_json(self) -> dict:
         return {"t": self.t, "omega": str(self.omega), "mu": str(self.mu)}
 
 
-class RigidityVerdict(Value):
-    __slots__ = ("kind", "witness")
-
-    def __init__(self, kind: str, witness: SignWitness | None = None):
-        _set(self, "kind", kind)
-        _set(self, "witness", witness)
+class RigidityVerdict(Value, optional=1):
+    __slots__ = ("kind", "witness")  # a SignWitness for sign_mismatch, else None
 
     def as_json(self) -> dict:
         out: dict = {"verdict": self.kind}

@@ -24,7 +24,6 @@ from .words import (
     BsPresentation,
     NormalForm,
     Value,
-    _set,
     cyclically_reduce,
     _fmt_syllable,
     format_word,
@@ -46,10 +45,7 @@ __all__ = [
 
 
 class TreeVertex(Value):
-    __slots__ = ("rep",)
-
-    def __init__(self, rep: NormalForm):  # rep.tail = 0
-        _set(self, "rep", rep)
+    __slots__ = ("rep",)  # rep.tail = 0
 
     def __str__(self) -> str:
         return format_word(self.rep)
@@ -97,17 +93,11 @@ def vertex_distance(u: TreeVertex, v: TreeVertex, G: BsPresentation) -> int:
 
 
 class Elliptic(Value):
-    __slots__ = ("witness",)
-
-    def __init__(self, witness: NormalForm):  # witness^-1 g witness lies in <a>
-        _set(self, "witness", witness)
+    __slots__ = ("witness",)  # witness^-1 g witness lies in <a>
 
 
 class Hyperbolic(Value):
     __slots__ = ("translation_length",)
-
-    def __init__(self, translation_length: int):
-        _set(self, "translation_length", translation_length)
 
 
 def classify(g: NormalForm, G: BsPresentation) -> Elliptic | Hyperbolic:

@@ -74,23 +74,27 @@ class Value:
     """Base of the immutable value classes: plain ``__slots__`` classes with
     the behaviour of a frozen dataclass at a fraction of its import cost.
 
-    A subclass writes only its ``__slots__`` (the fields, in order) and its
-    ``__init__``, which stores each field with ``_set``; the base derives
-    everything else from the slots.  Equality holds only within the same
-    class, field by field, and a value hashes as the tuple of its fields.
-    Assignment and deletion raise AttributeError, the repr reads
-    ``Cls(field=value, ...)`` and pickling and copying go by the field
-    tuple.  A subclass with ``__slots__ = ()`` keeps its parent's equality
-    and hash.
+    A subclass writes only its ``__slots__`` (the fields, in order) and, as
+    the class keyword ``optional``, how many trailing fields default to
+    None; the base derives everything else from the slots.  The constructor
+    takes the fields by position or keyword and stores each with ``_set``;
+    it is generated from source, as ``collections.namedtuple`` generates
+    ``__new__``, so that it costs no more than a hand-written one.
+    Equality holds only within the same class, field by field, and a value
+    hashes as the tuple of its fields.  Assignment and deletion raise
+    AttributeError, the repr reads ``Cls(field=value, ...)`` and pickling
+    and copying go by the field tuple.  A subclass with ``__slots__ = ()``
+    keeps its parent's constructor, equality and hash.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
-        if not cls.__slots__:
+    def __init_subclass__(cls, optional: int = 0):
+        names = cls.__slots__
+        if not names:
             return
-        fields = attrgetter(*cls.__slots__)  # the bare value for one field
-        single = len(cls.__slots__) == 1
+        fields = attrgetter(*names)  # the bare value for one field
+        single = len(names) == 1
 
         def __eq__(self, other):
             if other.__class__ is not self.__class__:
@@ -100,7 +104,14 @@ class Value:
         def __hash__(self):
             return hash((fields(self),) if single else fields(self))
 
-        cls.__eq__, cls.__hash__ = __eq__, __hash__
+        namespace = {"_set": _set}
+        stores = "".join(f"\n _set(self, {name!r}, {name})" for name in names)
+        exec(f"def __init__(self, {', '.join(names)}):{stores}", namespace)
+        __init__ = namespace["__init__"]
+        __init__.__defaults__ = (None,) * optional
+        __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        __init__.__module__ = cls.__module__
+        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -123,13 +134,6 @@ class BsPresentation(Value):
     """
 
     __slots__ = ("n", "m", "k", "n0", "m0")
-
-    def __init__(self, n: int, m: int, k: int, n0: int, m0: int):
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "k", k)
-        _set(self, "n0", n0)
-        _set(self, "m0", m0)
 
     @property
     def is_standard(self) -> bool:
@@ -160,9 +164,6 @@ class GroupWord(Value):
 
     __slots__ = ("syllables",)
 
-    def __init__(self, syllables: tuple[tuple[str, int], ...]):
-        _set(self, "syllables", syllables)
-
     @staticmethod
     def of(items) -> "GroupWord":
         """Build a word from (letter, exponent) pairs, freely cancelling."""
@@ -192,10 +193,6 @@ class NormalForm(Value):
     the group."""
 
     __slots__ = ("prefix", "tail")
-
-    def __init__(self, prefix: tuple[tuple[int, int], ...], tail: int):
-        _set(self, "prefix", prefix)
-        _set(self, "tail", tail)
 
     @property
     def b_length(self) -> int:

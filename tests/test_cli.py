@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 from fractions import Fraction
@@ -183,6 +184,12 @@ def test_tree_ball_text_is_the_json_dot(capsys):
     assert '  "b^2 a b^-1";\n' in text
 
 
+def test_tree_ball_holds_its_dot_once():
+    a = argparse.Namespace(center="b", radius=2)
+    payload, text = cli._tree_ball(a, bs(2, 3))
+    assert text is payload["dot"]
+
+
 def test_invariants(capsys):
     code, out, _ = invoke(capsys, "--group", "4,-6", "invariants", "--depth", "1")
     assert code == 0
@@ -271,6 +278,15 @@ EXIT_CODES = [
     (2, ["--group", "2,0", "reduce", "b"], ""),
     (2, ["iso", "2", "3,4"], "expected 'n,m'"),
     (2, ["iso", "x,y", "2,3"], "expected two integers"),
+    # every number is ASCII digits, like a root: no underscore, space or
+    # other script in a pair or an integer argument, which is named
+    (2, ["--group", "2_0,3", "invariants"], "expected two integers"),
+    (2, ["--group", "\u0662,3", "reduce", "b"], "expected two integers"),
+    (2, ["iso", "2,3", " 3,2"], "expected two integers"),
+    (2, ["witness", "2,1_0"], "expected two integers"),
+    (2, ["--group", "2,3", "tree-ball", "e", "\u0661"], "argument radius"),
+    (2, ["--group", "2,3", "fixed", "a", "--radius", "1_0"], "argument --radius"),
+    (2, ["--group", "2,3", "invariants", "--depth", " 2"], "argument --depth"),
     (2, ["--group", "2,3", "reduce", "b", "--bogus"], ""),
     (2, ["frobnicate"], ""),
     (2, [], "missing subcommand"),

@@ -1,7 +1,9 @@
 """The contract of the immutable value classes: what a frozen dataclass
 gave them, kept by the plain slots classes on ``words.Value``."""
 
+import ast
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -20,7 +22,12 @@ from bsrig import (
     SignWitness,
     TreeVertex,
     bs,
+    fusion,
+    hecke,
     parse_word,
+    rigidity,
+    tree,
+    words,
 )
 
 REP = NormalForm(((0, 1),), 0)
@@ -79,3 +86,40 @@ def test_value_contract(value, text):
 def test_classes_with_equal_fields_stay_apart():
     assert TreeVertex(REP) != Elliptic(REP)
     assert len({TreeVertex(REP), Elliptic(REP), TreeVertex(NormalForm(((0, 1),), 0))}) == 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: NormalForm(((0, 1),)),  # a missing field
+        lambda: NormalForm((), 0, 1),  # an extra positional argument
+        lambda: CosetProfile(1, 2, 3, M=4),  # an unknown keyword
+        lambda: SignWitness(1, W, MU, omega=W),  # a field given twice
+        lambda: RigidityVerdict(),  # only trailing fields have defaults
+    ],
+    ids=["missing", "extra", "unknown", "twice", "required"],
+)
+def test_constructor_refuses_bad_arguments(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_constructor_defaults_and_names():
+    assert (Irreducible().char, Irreducible().coset) == (None, None)
+    assert Irreducible(coset=COSET) == Irreducible(None, COSET)
+    assert RigidityVerdict("n_mismatch").witness is None
+    assert NormalForm.__init__.__qualname__ == "NormalForm.__init__"
+    assert DoubleCoset.__init__.__module__ == "bsrig.hecke"
+    twin = type("TwinNormalForm", (NormalForm,), {"__slots__": ()})
+    assert twin.__init__ is NormalForm.__init__ and twin((), 3).tail == 3
+
+
+def test_layer_values_write_no_constructor():
+    # every Value subclass of a layer module states its fields once, in
+    # __slots__, and takes the constructor the base derives from them
+    for module in (words, hecke, tree, fusion, rigidity):
+        assert module is words or not hasattr(module, "_set"), module.__name__
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ClassDef) and issubclass(getattr(module, node.name), words.Value):
+                defined = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+                assert "__init__" not in defined, f"{module.__name__}.{node.name}"
