@@ -11,10 +11,11 @@ separator (``bsrig iso -- -2,-3 2,3``).
 text mode prints the text, or the payload where there is none.  Exit
 codes: 0 success, 1 domain error, failed selftest or out of memory, 2
 usage error, 3 internal error (a broken invariant: a bug, never bad
-input).  ``fixed`` prints ``absent`` (JSON ``"proven": true``) only when
-the radius is large enough to prove that no common fixed vertex exists;
-below that radius (``"proven": false``) it names the radius that would
-prove absence.
+input).  ``fixed`` prints ``absent`` (JSON ``"proven": true``) when no
+common fixed vertex exists, at any radius, and the JSON carries the
+certificate: the first pair of words whose product is hyperbolic, with
+its translation length.  A common fixed vertex beyond the radius prints
+``none within radius R`` (``"proven": false``) with the radius that finds it.
 """
 
 from __future__ import annotations
@@ -111,10 +112,12 @@ def _fixed(a, G):
     gs = [word_nf(w, G) for w in a.words]
     found = tree.common_fixed_vertex(gs, G, a.radius)
     if found is None:
-        proof = tree.absence_radius(gs)
-        if a.radius >= proof:
-            return {"vertex": None, "proven": True}, "absent"
-        text = f"none within radius {a.radius}; --radius {proof} finds one or proves absence"
+        pair = tree.separating_pair(gs, G)
+        if pair:
+            i, j, t = pair
+            certificate = {"pair": [i, j], "translation_length": t}
+            return {"vertex": None, "proven": True, "certificate": certificate}, "absent"
+        text = f"none within radius {a.radius}; --radius {tree.absence_radius(gs)} finds one"
         return {"vertex": None, "proven": False}, text
     vertex = str(found[0])  # the walk's g0 is the vertex's own rep
     return {"vertex": vertex, "g0": vertex}, f"vertex={vertex} g0={vertex}"
@@ -205,8 +208,8 @@ WORD = (_arg("word"),)
 TWO_WORDS = (_arg("word1"), _arg("word2"))
 TWO_PAIRS = (_arg("pair1"), _arg("pair2"))
 RADIUS_HELP = (
-    "largest distance of the vertex from the first word's witness vertex; at half "
-    "the largest b-length or more, absent is proven (default 8)"
+    "largest distance of the vertex from the first word's witness vertex (default 8); "
+    "absent is proven at any radius, by a pair of words with a hyperbolic product"
 )
 
 COMMANDS = {
@@ -302,12 +305,12 @@ _TOP_LEVEL = {"-h": False, "--help": False, "--group": True, "--format": True}
 
 
 def _leading_options(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """argv with each ``--group V`` before the subcommand joined into
-    ``--group=V`` when V is a pair, so that argparse does not read a
-    negative n such as ``-2,3`` as an option.  An option there that the
-    top-level parser does not know, even as an abbreviation, is a usage
-    error that names it; argparse would read its value as the subcommand
-    and name neither."""
+    """argv with each ``--group V`` (or an abbreviation such as ``--gr V``)
+    before the subcommand joined into ``--group=V`` when V is a pair, so
+    that argparse does not read a negative n such as ``-2,3`` as an option.
+    An option there that the top-level parser does not know, even as an
+    abbreviation, is a usage error that names it; argparse would read its
+    value as the subcommand and name neither."""
     out = []
     i = 0
     while i < len(argv) and argv[i].startswith("-") and argv[i] != "--":
@@ -320,7 +323,7 @@ def _leading_options(argv: list[str], parser: argparse.ArgumentParser) -> list[s
         if eq or not _TOP_LEVEL[known[0]]:
             out.append(argv[i])
             i += 1
-        elif name == "--group" and i + 1 < len(argv) and _PAIR.fullmatch(argv[i + 1]):
+        elif known[0] == "--group" and i + 1 < len(argv) and _PAIR.fullmatch(argv[i + 1]):
             out.append(f"--group={argv[i + 1]}")
             i += 2
         else:
@@ -337,8 +340,6 @@ def _dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         (payload, text), code = _call(args)
-        if args.format == "json" or text is None:
-            text = json.dumps(payload, separators=(",", ":"))
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"bsrig: {exc}\n")
@@ -352,9 +353,17 @@ def _dispatch(argv: list[str]) -> int:
     except MemoryError:
         sys.stderr.write("bsrig: the command ran out of memory\n")
         return 1
-    sys.stdout.write(text)
-    if not text.endswith("\n"):  # a DOT text ends in its own newline
+    if args.format == "json" or text is None:
+        # chunk by chunk, a long chunk such as a ball's DOT text in slices:
+        # no whole second copy of the document is held, encoded or joined
+        for chunk in json.JSONEncoder(separators=(",", ":")).iterencode(payload):
+            for k in range(0, len(chunk), 1 << 16):
+                sys.stdout.write(chunk[k : k + (1 << 16)])
         sys.stdout.write("\n")
+    else:
+        sys.stdout.write(text)
+        if not text.endswith("\n"):  # a DOT text ends in its own newline
+            sys.stdout.write("\n")
     return code
 
 

@@ -15,6 +15,10 @@ The candidate oracles build each candidate d a^i e of a convolution, or
 each conjugate g a^i g^-1 of a self-inverse decomposition, by two products
 and canonicalise it on its own, instead of walking the candidates by
 residue class with a shared prefix.
+The fixed-vertex oracle decides absence by the geodesic walk alone, run
+to absence_radius, instead of by a hyperbolic pairwise product; a
+separating pair's certificate is checked on the concatenated words, the
+translation length t of p = g_i g_j as |p p|_b - |p|_b, with no tree code.
 The ball oracle walks the tree breadth first, one sphere at a time, and
 sorts the labels and the edges at the end, instead of emitting them in
 output order.
@@ -39,7 +43,7 @@ from math import gcd
 
 from .fusion import ONE, BimoduleSum, Irreducible, RootOfUnity, angle_key, omega_member
 from .hecke import DoubleCoset, HeckeElement, coset_profile, double_coset
-from .tree import TreeVertex, _steps
+from .tree import Hyperbolic, TreeVertex, _steps, absence_radius, classify, vertex_of
 from .words import (
     BsPresentation,
     GroupWord,
@@ -55,6 +59,7 @@ from .words import (
     multiply,
     nf_sort_key,
     normalize,
+    to_group_word,
 )
 
 __all__ = [
@@ -71,6 +76,9 @@ __all__ = [
     "oracle_candidate_convolve",
     "oracle_decompose_self_inverse",
     "oracle_exchange_partners",
+    "oracle_common_fixed_vertex",
+    "oracle_translation_length",
+    "oracle_separates",
     "oracle_export_ball",
     "enumerate_omega",
     "isomorphic",
@@ -410,6 +418,51 @@ def oracle_export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> st
     vertices = '";\n  "'.join(labels)
     lines = [f'  "{src}" -> "{dst}" [label="{lab}"];\n' for src, dst, lab in edges]
     return f'digraph bass_serre_ball {{\n  "{vertices}";\n{"".join(lines)}}}\n'
+
+
+def oracle_common_fixed_vertex(
+    gs, G: BsPresentation, radius_bound: int
+) -> tuple[TreeVertex, NormalForm] | None:
+    """common_fixed_vertex by the geodesic walk alone: no pair check, so
+    absence shows only as a walk that runs out, which proves it once
+    radius_bound >= absence_radius(gs)."""
+    gs = list(gs)
+    if not gs:
+        raise ValueError("need at least one element")
+    if radius_bound < 0:
+        raise ValueError("radius bound must be nonnegative")
+    classes = [classify(g, G) for g in gs]
+    for g, c in zip(gs, classes):
+        if isinstance(c, Hyperbolic):
+            raise ValueError(f"element {format_word(g)} is hyperbolic, it fixes no vertex")
+    v = vertex_of(classes[0].witness, G)
+    for _ in range(min(radius_bound, absence_radius(gs)) + 1):
+        h = v.rep.prefix
+        k = next((k for k in (multiply(g, v.rep, G).prefix for g in gs) if k != h), None)
+        if k is None:
+            return v, v.rep
+        v = TreeVertex(NormalForm(k[: len(h) + 1] if k[: len(h)] == h else h[:-1], 0))
+    return None
+
+
+def oracle_translation_length(w: GroupWord, G: BsPresentation, rng: random.Random) -> int:
+    """|w w|_b - |w|_b by pinch elimination: the translation length of a
+    hyperbolic w, at least 1, and at most 0 for an elliptic w = c a^z c^-1,
+    whose square c a^2z c^-1 is no longer."""
+    return oracle_b_length(concat_words(w, w), G, rng) - oracle_b_length(w, G, rng)
+
+
+def oracle_separates(
+    gs, certificate: tuple[int, int, int], G: BsPresentation, rng: random.Random
+) -> bool:
+    """Whether (i, j, t) certifies that the elliptic gs fix no common vertex:
+    i < j index gs, and g_i g_j, concatenated as words, is hyperbolic with
+    translation length t."""
+    i, j, t = certificate
+    if not 0 <= i < j < len(gs) or t < 1:
+        return False
+    p = concat_words(to_group_word(gs[i]), to_group_word(gs[j]))
+    return oracle_translation_length(p, G, rng) == t
 
 
 def enumerate_omega(G: BsPresentation, max_den: int) -> list[RootOfUnity]:

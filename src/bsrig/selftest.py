@@ -176,7 +176,15 @@ def _tree(rng: random.Random, s: Sizes) -> None:
     G = bs(2, 3)
     assert tree.classify(word_nf("b", G), G) == tree.Hyperbolic(1)
     assert tree.classify(word_nf("b a B", G), G) == tree.Elliptic(word_nf("b", G))
-    assert tree.common_fixed_vertex([word_nf("a^2", G), word_nf("b a^3 B", G)], G, 8) is None
+    oracle_rng = random.Random(0)  # pinch elimination's own stream; rng's stays as it was
+
+    def certified_absent(gs):
+        # no common fixed vertex, and a pair's certificate that the oracle accepts
+        certificate = tree.separating_pair(gs, G)
+        assert tree.common_fixed_vertex(gs, G, 8) is None and certificate is not None
+        assert oracles.oracle_separates(gs, certificate, G, oracle_rng), certificate
+
+    certified_absent([word_nf("a^2", G), word_nf("b a^3 B", G)])
 
     hyperbolic_seen = 0
     while hyperbolic_seen < s.hyperbolic:
@@ -195,7 +203,7 @@ def _tree(rng: random.Random, s: Sizes) -> None:
             assert tree.fixes_vertex(x, tree.vertex_of(tree.classify(x, G).witness, G), G)
         if not isinstance(tree.classify(words.multiply(g, h, G), G), tree.Elliptic):
             # a hyperbolic product certifies that no common fixed vertex exists
-            assert tree.common_fixed_vertex([g, h], G, 8) is None
+            certified_absent([g, h])
             continue
         pairs_seen += 1
         found = tree.common_fixed_vertex([g, h], G, 8)
@@ -209,7 +217,7 @@ def _tree(rng: random.Random, s: Sizes) -> None:
         g = word_nf("a^6", G)
         h = word_nf(f"b a^{x} b a^{y} b a^2 B a^{-y} B a^{-x} B", G)
         assert isinstance(tree.classify(words.multiply(g, h, G), G), tree.Hyperbolic)
-        assert tree.common_fixed_vertex([g, h], G, 8) is None
+        certified_absent([g, h])
 
     base = tree.vertex_of(words.IDENTITY, G)
     assert len({base} | set(tree.vertex_neighbors(base, G))) == 1 + G.n + abs(G.m)

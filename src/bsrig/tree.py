@@ -13,18 +13,22 @@ label by one syllable and emits the lines already in output order.
 
 An element is elliptic iff its cyclically reduced core is an a-power;
 otherwise it is hyperbolic and translates along an axis by the cyclically
-reduced b-length.  Common fixed vertices are found by a walk along
-geodesics, not by a ball search: each step costs one product g h per
-element, and the next vertex is read off the reps of h<a> and g h<a>.
+reduced b-length.  Elliptic elements fix no common vertex exactly when
+some pairwise product is hyperbolic, which one product per pair decides;
+that pair and its translation length certify absence.  A common fixed
+vertex, when there is one, is found by a walk along geodesics, not by a
+ball search: each step costs one product g h per element, and the next
+vertex is read off the reps of h<a> and g h<a>.
 """
 
 from __future__ import annotations
 
 from .words import (
     BsPresentation,
+    InternalError,
     NormalForm,
     Value,
-    cyclically_reduce,
+    _cyclic_span,
     _fmt_syllable,
     format_word,
     multiply,
@@ -101,17 +105,34 @@ class Hyperbolic(Value):
 
 
 def classify(g: NormalForm, G: BsPresentation) -> Elliptic | Hyperbolic:
-    conj, core = cyclically_reduce(g, G)
-    if core.prefix:
-        return Hyperbolic(len(core.prefix))
-    return Elliptic(conj)
+    i, j, _ = _cyclic_span(g, G)
+    if j > i:
+        return Hyperbolic(j - i)
+    return Elliptic(NormalForm(g.prefix[:i], 0))
+
+
+def separating_pair(gs, G: BsPresentation) -> tuple[int, int, int] | None:
+    """(i, j, t) for the first pair i < j of the sequence gs whose product
+    g_i g_j is hyperbolic, t its translation length; None if every pairwise
+    product is elliptic.  One product per pair.
+
+    For elliptic g and h, gh is hyperbolic exactly when Fix(g) and Fix(h)
+    are disjoint, and then t = 2 d(Fix g, Fix h) (Serre, Trees, I.6.5);
+    subtrees that meet pairwise have a common vertex.  So elliptic gs fix
+    no common vertex exactly when this returns a pair, which certifies it.
+    """
+    for i, g in enumerate(gs):
+        for j in range(i + 1, len(gs)):
+            lo, hi, _ = _cyclic_span(multiply(g, gs[j], G), G)
+            if hi > lo:
+                return i, j, hi - lo
+    return None
 
 
 def absence_radius(gs) -> int:
     """max |g|_b // 2 over the elements gs: a common fixed vertex, if there
     is one, lies within this distance of the first element's witness
-    vertex, so from this radius on common_fixed_vertex returning None
-    proves that there is none."""
+    vertex, so the walk of common_fixed_vertex reaches it by then."""
     return max(len(g.prefix) for g in gs) // 2
 
 
@@ -121,36 +142,42 @@ def common_fixed_vertex(
     """The common fixed vertex of least b-length of the elements of gs, with
     its representative, if it lies within radius_bound >= 0 of the first
     element's witness vertex v0; None otherwise.  Rejects hyperbolic input.
+    When separating_pair finds a pair, no common fixed vertex exists and the
+    answer is None at once, at any radius_bound.
 
-    A walk along geodesics (Serre, Trees, I.6.5): while some g moves the
-    current vertex v, step to the first vertex of the geodesic from v to
-    g v.  One product g h gives g v's rep k, and the step is read off the
-    reps: one letter down along k if k extends v's rep h, else up to h's
-    parent.  The geodesic from v to g v runs through the projection of v
+    Otherwise a walk along geodesics (Serre, Trees, I.6.5): while some g
+    moves the current vertex v, step to the first vertex of the geodesic
+    from v to g v.  One product g h gives g v's rep k, and the step is read
+    off the reps: one letter down along k if k extends v's rep h, else up to
+    h's parent.  The geodesic from v to g v runs through the projection of v
     onto Fix(g), which contains the common fixed subtree X, so the walk
     follows the geodesic from v0 to X.  It ends at the least vertex of X,
     since every geodesic from the base vertex into X runs through v0, the
     projection of the base vertex onto Fix(g1).  A nonempty X is nearest
     the base vertex at the farthest of its projections onto the Fix(g), at
     distance max |g|_b / 2: the walk takes at most absence_radius(gs)
-    steps, and from that radius on None proves absence.
+    steps.
     """
     gs = list(gs)
     if not gs:
         raise ValueError("need at least one element")
     if radius_bound < 0:
         raise ValueError("radius bound must be nonnegative")
-    classes = [classify(g, G) for g in gs]
-    for g, c in zip(gs, classes):
-        if isinstance(c, Hyperbolic):
+    spans = [_cyclic_span(g, G) for g in gs]  # classify's, with no values built
+    for g, (i, j, _) in zip(gs, spans):
+        if j > i:
             raise ValueError(f"element {format_word(g)} is hyperbolic, it fixes no vertex")
-    v = vertex_of(classes[0].witness, G)
+    if separating_pair(gs, G):
+        return None
+    v = TreeVertex(NormalForm(gs[0].prefix[: spans[0][0]], 0))  # the witness vertex
     for _ in range(min(radius_bound, absence_radius(gs)) + 1):
         h = v.rep.prefix
         k = next((k for k in (multiply(g, v.rep, G).prefix for g in gs) if k != h), None)
         if k is None:
             return v, v.rep
         v = TreeVertex(NormalForm(k[: len(h) + 1] if k[: len(h)] == h else h[:-1], 0))
+    if radius_bound >= absence_radius(gs):
+        raise InternalError("internal error: the walk missed a common fixed vertex")
     return None
 
 

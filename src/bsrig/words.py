@@ -374,18 +374,9 @@ def conjugated_by(g: NormalForm, h: NormalForm, G: BsPresentation) -> NormalForm
     return multiply(multiply(invert(h, G), g, G), h, G)
 
 
-def cyclically_reduce(g: NormalForm, G: BsPresentation) -> tuple[NormalForm, NormalForm]:
-    """Return (conjugator, core) with conjugator^-1 g conjugator = core and
-    no cyclic rotation of core admitting a pinch.
-
-    With the normal form constraints an interior pinch is impossible, so the
-    only candidate is the wrap-around one: the last letter b^{e_k}, the
-    cyclic a-power tail + s_1, and the first letter b^{e_1}.  A rotation,
-    made only when that pinch is verified (e_k = -e_1 and c | tail + s_1,
-    c = m for e_1 = 1, c = n for e_1 = -1), drops exactly those two letters
-    and folds the pinched power into the tail: the conjugator is g's leading
-    letters and the core its middle, sliced off with no multiplication.
-    """
+def _cyclic_span(g: NormalForm, G: BsPresentation) -> tuple[int, int, int]:
+    """(i, j, tail) with core = NormalForm(g.prefix[i:j], tail), as
+    cyclically_reduce describes; j - i is the core's b-length."""
     prefix, tail = g.prefix, g.tail
     up, down = _carries(G)
     i, j = 0, len(prefix)
@@ -400,7 +391,23 @@ def cyclically_reduce(g: NormalForm, G: BsPresentation) -> tuple[NormalForm, Nor
         # b^-e a^{tail + s} b^e = a^{(tail + s) / c * d}
         tail = prefix[j - 1][0] + q * d
         i, j = i + 1, j - 1
-    return NormalForm(prefix[:i], 0), NormalForm(prefix[i:j], tail)
+    return i, j, tail
+
+
+def cyclically_reduce(g: NormalForm, G: BsPresentation) -> tuple[NormalForm, NormalForm]:
+    """Return (conjugator, core) with conjugator^-1 g conjugator = core and
+    no cyclic rotation of core admitting a pinch.
+
+    With the normal form constraints an interior pinch is impossible, so the
+    only candidate is the wrap-around one: the last letter b^{e_k}, the
+    cyclic a-power tail + s_1, and the first letter b^{e_1}.  A rotation,
+    made only when that pinch is verified (e_k = -e_1 and c | tail + s_1,
+    c = m for e_1 = 1, c = n for e_1 = -1), drops exactly those two letters
+    and folds the pinched power into the tail: the conjugator is g's leading
+    letters and the core its middle, sliced off with no multiplication.
+    """
+    i, j, tail = _cyclic_span(g, G)
+    return NormalForm(g.prefix[:i], 0), NormalForm(g.prefix[i:j], tail)
 
 
 def nf_sort_key(nf: NormalForm) -> tuple:

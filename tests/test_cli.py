@@ -1,11 +1,13 @@
 import argparse
+import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from bsrig import cli, hecke, rigidity
+from bsrig import cli, hecke, rigidity, tree
 from bsrig.cli import run
 from bsrig.fusion import RootOfUnity
 from bsrig.oracles import oracle_exchange_partners, random_word
@@ -104,6 +106,14 @@ def test_negative_group_as_a_separate_argument(capsys):
     assert invoke(capsys, "--group", "-2,-3", "profile", "b")[:2] == (0, '{"l":2,"r":3,"L":2}\n')
 
 
+def test_negative_group_after_an_abbreviated_option(capsys):
+    want = invoke(capsys, "--group=-2,3", "profile", "b")
+    assert want[0] == 0 and want[2] == ""
+    assert invoke(capsys, "--gr", "-2,3", "profile", "b") == want
+    assert invoke(capsys, "--gro=-2,3", "profile", "b") == want
+    assert invoke(capsys, "--gr", "2,3", "profile", "b") == invoke(capsys, "--group=2,3", "profile", "b")
+
+
 def test_many_separate_group_arguments(capsys):
     # each --group V is attached in one loop, not one call deep per pair
     once = invoke(capsys, "--group", "-2,3", "profile", "b")
@@ -113,7 +123,7 @@ def test_many_separate_group_arguments(capsys):
 
 def test_fixed_says_whether_absence_is_proven(capsys):
     # the common fixed vertex b a b a b^-1 lies at distance 2 from the first
-    # word's witness vertex; radius 3 = max b-length // 2 proves absence
+    # word's witness vertex; radius 3 = max b-length // 2 always finds it
     pair = ("b a b a^6 B a^-1 B", "b a b a B a B a^6 b a^-1 b a^-1 B a^-1 B")
     code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", "1")
     assert code == 0 and out != "absent\n" and "--radius 3" in out
@@ -124,16 +134,19 @@ def test_fixed_says_whether_absence_is_proven(capsys):
     # radius 0 checks the witness vertex alone
     code, out, _ = invoke(capsys, "--group", "2,3", "fixed", "a", "--radius", "0")
     assert (code, out) == (0, "vertex=e g0=e\n")
-    code, out, _ = invoke(capsys, "--group", "2,3", "fixed", "a^2", "b a^3 B", "--radius", "0")
-    assert (code, out) == (0, "none within radius 0; --radius 1 finds one or proves absence\n")
-    # a^2 and b a^3 B fix disjoint subtrees: radius 1 already proves it
-    for radius in ("1", "5"):
+    # a^2 and b a^3 B fix disjoint subtrees: their product is hyperbolic with
+    # translation length 2, which proves it at any radius, 0 included
+    certificate = {"pair": [0, 1], "translation_length": 2}
+    for radius in ("0", "1", "5"):
         code, out, _ = invoke(capsys, "--group", "2,3", "fixed", "a^2", "b a^3 B", "--radius", radius)
         assert (code, out) == (0, "absent\n")
         code, out, _ = invoke(
             capsys, "--group", "2,3", "fixed", "a^2", "b a^3 B", "--radius", radius, "--format", "json"
         )
-        assert (code, json.loads(out)) == (0, {"vertex": None, "proven": True})
+        assert (code, json.loads(out)) == (0, {"vertex": None, "proven": True, "certificate": certificate})
+    # the first separating pair: a^2 and a^4 share the base vertex
+    code, out, _ = invoke(capsys, "--group", "2,3", "fixed", "a^2", "a^4", "b a^3 B", "--format", "json")
+    assert json.loads(out)["certificate"] == {"pair": [0, 2], "translation_length": 2}
 
 
 def test_help_names_the_equals_form_and_the_radius(capsys):
@@ -182,6 +195,24 @@ def test_tree_ball_text_is_the_json_dot(capsys):
     # 1 + d((d - 1)^R - 1)/(d - 2) vertices for d = 5, R = 3
     assert text.count('";\n') == 106
     assert '  "b^2 a b^-1";\n' in text
+
+
+def test_json_is_written_in_slices(monkeypatch):
+    # no write holds the whole document; the bytes are those of one json.dumps
+    sizes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(["--group", "2,3", "--format", "json", "tree-ball", "e", "5"]) == 0
+    G = bs(2, 3)
+    dot = tree.export_ball(tree.vertex_of(word_nf("e", G), G), 5, G)
+    assert out.getvalue() == json.dumps({"dot": dot}, separators=(",", ":")) + "\n"
+    assert len(dot) > 1 << 16 and max(sizes) <= 1 << 16
 
 
 def test_tree_ball_holds_its_dot_once():

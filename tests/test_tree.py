@@ -26,7 +26,15 @@ from bsrig import (
     word_nf,
 )
 from bsrig import tree, words
-from bsrig.oracles import oracle_export_ball, random_elliptic, random_nf
+from bsrig.oracles import (
+    oracle_common_fixed_vertex,
+    oracle_export_ball,
+    oracle_separates,
+    oracle_translation_length,
+    random_elliptic,
+    random_nf,
+)
+from bsrig.words import concat_words, to_group_word
 
 G23 = bs(2, 3)
 
@@ -184,8 +192,9 @@ def test_common_fixed_vertex_instance_with_hyperbolic_product():
 
 
 def test_common_fixed_vertex_work_follows_the_walk(monkeypatch):
-    # one product per element at each vertex of the walk, whatever the
-    # radius; a ball search makes thousands at radius 5
+    # one product per pair decides absence, whatever the radius; otherwise
+    # one product per element at each vertex of the walk follows it, where
+    # a ball search makes thousands at radius 5
     calls = 0
 
     def counted(g, h, G):
@@ -202,7 +211,11 @@ def test_common_fixed_vertex_work_follows_the_walk(monkeypatch):
             calls = 0
             found = common_fixed_vertex(gs, G23, radius)
             assert (found and str(found[0])) == expect
-            assert 0 < calls <= (min(radius, max(len(g.prefix) for g in gs)) + 1) * len(gs)
+            pairs = len(gs) * (len(gs) - 1) // 2
+            if expect is None:
+                assert calls == pairs
+            else:
+                assert pairs < calls <= (min(radius, max(len(g.prefix) for g in gs)) + 1) * len(gs) + pairs
 
 
 def test_elliptic_pairs_with_elliptic_product_share_a_vertex():
@@ -219,6 +232,35 @@ def test_elliptic_pairs_with_elliptic_product_share_a_vertex():
         v, g0 = found
         assert v.rep == g0
         assert fixes_vertex(g, v, G23) and fixes_vertex(h, v, G23)
+
+
+def test_separating_pair_matches_the_walk():
+    # the pair criterion against the walk alone at absence_radius, on 2800
+    # sets of 2-4 elliptic elements, half of them deep; each certificate is
+    # checked on the words, and every earlier pair's product is elliptic
+    rng = random.Random(28)
+    oracle_rng = random.Random(0)
+    absent = present = 0
+    for G in (G23, bs(2, -3), bs(3, 4), bs(2, 2), bs(3, 6), bs(1, 2), bs(-3, 5)):
+        for deep in (False, True) * 200:
+            gs = [random_elliptic(rng, G, max_conj_b=2, deep=deep) for _ in range(rng.randint(2, 4))]
+            radius = tree.absence_radius(gs)
+            walked = oracle_common_fixed_vertex(gs, G, radius)
+            assert common_fixed_vertex(gs, G, radius) == walked
+            certificate = tree.separating_pair(gs, G)
+            assert (certificate is None) == (walked is not None), (G, gs)
+            if certificate is None:
+                present += 1
+                continue
+            absent += 1
+            assert oracle_separates(gs, certificate, G, oracle_rng), certificate
+            i, j, t = certificate
+            assert not oracle_separates(gs, (i, j, t + 1), G, oracle_rng)
+            pairs = [(x, y) for x in range(len(gs)) for y in range(x + 1, len(gs))]
+            for x, y in pairs[: pairs.index((i, j))]:
+                p = concat_words(to_group_word(gs[x]), to_group_word(gs[y]))
+                assert oracle_translation_length(p, G, oracle_rng) <= 0
+    assert absent >= 600 and present >= 600, (absent, present)
 
 
 def _ball_minima(gs, G, radius):
