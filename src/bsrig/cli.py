@@ -119,7 +119,7 @@ def _fixed(a, G):
             return {"vertex": None, "proven": True, "certificate": certificate}, "absent"
         text = f"none within radius {a.radius}; --radius {tree.absence_radius(gs)} finds one"
         return {"vertex": None, "proven": False}, text
-    vertex = str(found[0])  # the walk's g0 is the vertex's own rep
+    vertex = str(found[0])  # g0 is the vertex's own rep
     return {"vertex": vertex, "g0": vertex}, f"vertex={vertex} g0={vertex}"
 
 

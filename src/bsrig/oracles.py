@@ -15,10 +15,12 @@ The candidate oracles build each candidate d a^i e of a convolution, or
 each conjugate g a^i g^-1 of a self-inverse decomposition, by two products
 and canonicalise it on its own, instead of walking the candidates by
 residue class with a shared prefix.
-The fixed-vertex oracle decides absence by the geodesic walk alone, run
-to absence_radius, instead of by a hyperbolic pairwise product; a
-separating pair's certificate is checked on the concatenated words, the
-translation length t of p = g_i g_j as |p p|_b - |p|_b, with no tree code.
+The fixed-vertex oracle walks along geodesics from the first witness
+vertex, one product per element and step, to absence_radius, instead of
+reading the deepest witness vertex off the words and deciding absence by
+a hyperbolic pairwise product; a separating pair's certificate is checked
+on the concatenated words, the translation length t of p = g_i g_j as
+|p p|_b - |p|_b, with no tree code.
 The ball oracle walks the tree breadth first, one sphere at a time, and
 sorts the labels and the edges at the end, instead of emitting them in
 output order.
@@ -423,9 +425,11 @@ def oracle_export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> st
 def oracle_common_fixed_vertex(
     gs, G: BsPresentation, radius_bound: int
 ) -> tuple[TreeVertex, NormalForm] | None:
-    """common_fixed_vertex by the geodesic walk alone: no pair check, so
-    absence shows only as a walk that runs out, which proves it once
-    radius_bound >= absence_radius(gs)."""
+    """common_fixed_vertex by a walk along geodesics, the reference for its
+    closed form: while some g moves the current vertex v, step to the
+    first vertex of the geodesic from v to g v, read off the reps of v and
+    g v.  No pair check, so absence shows only as a walk that runs out,
+    which proves it once radius_bound >= absence_radius(gs)."""
     gs = list(gs)
     if not gs:
         raise ValueError("need at least one element")

@@ -207,7 +207,7 @@ def _tree(rng: random.Random, s: Sizes) -> None:
             continue
         pairs_seen += 1
         found = tree.common_fixed_vertex([g, h], G, 8)
-        assert found is not None
+        assert found is not None and found == oracles.oracle_common_fixed_vertex([g, h], G, 8)
         v, _ = found
         assert tree.fixes_vertex(g, v, G) and tree.fixes_vertex(h, v, G)
 

@@ -16,9 +16,9 @@ otherwise it is hyperbolic and translates along an axis by the cyclically
 reduced b-length.  Elliptic elements fix no common vertex exactly when
 some pairwise product is hyperbolic, which one product per pair decides;
 that pair and its translation length certify absence.  A common fixed
-vertex, when there is one, is found by a walk along geodesics, not by a
-ball search: each step costs one product g h per element, and the next
-vertex is read off the reps of h<a> and g h<a>.
+vertex, when there is one, is read off the witnesses, not searched for:
+the deepest witness vertex is the least one, and one product per element
+checks it.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def separating_pair(gs, G: BsPresentation) -> tuple[int, int, int] | None:
 def absence_radius(gs) -> int:
     """max |g|_b // 2 over the elements gs: a common fixed vertex, if there
     is one, lies within this distance of the first element's witness
-    vertex, so the walk of common_fixed_vertex reaches it by then."""
+    vertex, so common_fixed_vertex finds it at this radius."""
     return max(len(g.prefix) for g in gs) // 2
 
 
@@ -145,18 +145,13 @@ def common_fixed_vertex(
     When separating_pair finds a pair, no common fixed vertex exists and the
     answer is None at once, at any radius_bound.
 
-    Otherwise a walk along geodesics (Serre, Trees, I.6.5): while some g
-    moves the current vertex v, step to the first vertex of the geodesic
-    from v to g v.  One product g h gives g v's rep k, and the step is read
-    off the reps: one letter down along k if k extends v's rep h, else up to
-    h's parent.  The geodesic from v to g v runs through the projection of v
-    onto Fix(g), which contains the common fixed subtree X, so the walk
-    follows the geodesic from v0 to X.  It ends at the least vertex of X,
-    since every geodesic from the base vertex into X runs through v0, the
-    projection of the base vertex onto Fix(g1).  A nonempty X is nearest
-    the base vertex at the farthest of its projections onto the Fix(g), at
-    distance max |g|_b / 2: the walk takes at most absence_radius(gs)
-    steps.
+    Otherwise the common fixed subtree X is nonempty, and the answer is a
+    closed form (Serre, Trees, I.6.5).  The witness vertex prefix[:i] of
+    each g is the projection of the base vertex onto Fix(g), which contains
+    X, so every geodesic from the base vertex into X runs through all the
+    witness vertices: the deepest of them is the least vertex of X, and it
+    lies i_top - i_0 from v0.  One product per element checks that each
+    element fixes it.
     """
     gs = list(gs)
     if not gs:
@@ -169,16 +164,11 @@ def common_fixed_vertex(
             raise ValueError(f"element {format_word(g)} is hyperbolic, it fixes no vertex")
     if separating_pair(gs, G):
         return None
-    v = TreeVertex(NormalForm(gs[0].prefix[: spans[0][0]], 0))  # the witness vertex
-    for _ in range(min(radius_bound, absence_radius(gs)) + 1):
-        h = v.rep.prefix
-        k = next((k for k in (multiply(g, v.rep, G).prefix for g in gs) if k != h), None)
-        if k is None:
-            return v, v.rep
-        v = TreeVertex(NormalForm(k[: len(h) + 1] if k[: len(h)] == h else h[:-1], 0))
-    if radius_bound >= absence_radius(gs):
-        raise InternalError("internal error: the walk missed a common fixed vertex")
-    return None
+    top, deepest = max(zip((i for i, _, _ in spans), gs), key=lambda pair: pair[0])
+    v = TreeVertex(NormalForm(deepest.prefix[:top], 0))
+    if not all(fixes_vertex(g, v, G) for g in gs):
+        raise InternalError("internal error: an element moves the deepest witness vertex")
+    return (v, v.rep) if top - spans[0][0] <= radius_bound else None
 
 
 def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:

@@ -363,6 +363,16 @@ def test_a_failed_witness_check_is_a_bug(capsys, monkeypatch):
     assert (code, out) == (3, "") and "outside Omega" in err and "bug" in err
 
 
+def test_a_failed_fixed_vertex_check_is_a_bug(capsys, monkeypatch):
+    # the closed form's vertex is checked on every element; absence is
+    # decided by the pair scan, before that check
+    monkeypatch.setattr(tree, "fixes_vertex", lambda g, v, G: False)
+    code, out, err = invoke(capsys, "--group", "2,3", "fixed", "a^2", "b a^6 B")
+    assert (code, out) == (3, "") and "witness vertex" in err and "bug" in err
+    code, out, _ = invoke(capsys, "--group", "2,3", "fixed", "a^2", "b a^3 B")
+    assert (code, out) == (0, "absent\n")
+
+
 def test_running_out_of_memory_exits_1(capsys, monkeypatch):
     def exhausted(a, G):
         raise MemoryError

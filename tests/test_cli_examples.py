@@ -112,6 +112,13 @@ def test_names_reached_through_a_module_are_documented():
     assert set(re.findall(r"`bsrig\.(\w+\.\w+)`", paragraph)) == defined
 
 
+def test_layout_names_every_module():
+    text = (ROOT / "README.md").read_text()
+    block = text[text.index("## Layout"):].split("```")[1]
+    named = set(re.findall(r"^  (\S+\.py) ", block, re.M))
+    assert named == {path.name for path in (ROOT / "src" / "bsrig").glob("*.py")}
+
+
 def _bsrig(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(

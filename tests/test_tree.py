@@ -191,10 +191,10 @@ def test_common_fixed_vertex_instance_with_hyperbolic_product():
     assert common_fixed_vertex([g, h], G23, 4) is None
 
 
-def test_common_fixed_vertex_work_follows_the_walk(monkeypatch):
+def test_common_fixed_vertex_work_is_one_product_per_pair_and_element(monkeypatch):
     # one product per pair decides absence, whatever the radius; otherwise
-    # one product per element at each vertex of the walk follows it, where
-    # a ball search makes thousands at radius 5
+    # one product per element checks the deepest witness vertex, where a
+    # ball search makes thousands at radius 5
     calls = 0
 
     def counted(g, h, G):
@@ -212,10 +212,7 @@ def test_common_fixed_vertex_work_follows_the_walk(monkeypatch):
             found = common_fixed_vertex(gs, G23, radius)
             assert (found and str(found[0])) == expect
             pairs = len(gs) * (len(gs) - 1) // 2
-            if expect is None:
-                assert calls == pairs
-            else:
-                assert pairs < calls <= (min(radius, max(len(g.prefix) for g in gs)) + 1) * len(gs) + pairs
+            assert calls == (pairs if expect is None else pairs + len(gs))
 
 
 def test_elliptic_pairs_with_elliptic_product_share_a_vertex():
@@ -234,19 +231,40 @@ def test_elliptic_pairs_with_elliptic_product_share_a_vertex():
         assert fixes_vertex(g, v, G23) and fixes_vertex(h, v, G23)
 
 
+def _shared_conjugator_set(rng, G):
+    """1-4 elliptic elements (w u_i) a^(p_i) (w u_i)^-1 that share a random
+    conjugator w with |w|_b <= 5; about half of the powers p_i are deep."""
+    w = random_nf(rng, G, max_b=5, max_exp=6)
+    gs = []
+    for _ in range(rng.randint(1, 4)):
+        c = multiply(w, random_nf(rng, G, max_b=2, max_exp=6), G)
+        p = rng.choice((-1, 1)) * rng.randint(1, 4) * (G.n * G.m if rng.random() < 0.5 else 1)
+        gs.append(multiply(multiply(c, a_power(p), G), invert(c, G), G))
+    return gs
+
+
 def test_separating_pair_matches_the_walk():
-    # the pair criterion against the walk alone at absence_radius, on 2800
-    # sets of 2-4 elliptic elements, half of them deep; each certificate is
-    # checked on the words, and every earlier pair's product is elliptic
+    # the pair criterion and the closed form against the walk alone, at
+    # every radius 0..absence_radius + 1: on 2800 sets of 2-4 elliptic
+    # elements, half of them deep, and on sets of 1-4 elements that share a
+    # conjugator, in three more groups too; each certificate is checked on
+    # the words, and every earlier pair's product is elliptic
     rng = random.Random(28)
+    shared_rng = random.Random(29)
     oracle_rng = random.Random(0)
     absent = present = 0
-    for G in (G23, bs(2, -3), bs(3, 4), bs(2, 2), bs(3, 6), bs(1, 2), bs(-3, 5)):
-        for deep in (False, True) * 200:
-            gs = [random_elliptic(rng, G, max_conj_b=2, deep=deep) for _ in range(rng.randint(2, 4))]
+    groups = (G23, bs(2, -3), bs(3, 4), bs(2, 2), bs(3, 6), bs(1, 2), bs(-3, 5))
+    for G in groups + (bs(1, 1), bs(1, -1), bs(5, 5)):
+        sets = [
+            [random_elliptic(rng, G, max_conj_b=2, deep=deep) for _ in range(rng.randint(2, 4))]
+            for deep in (False, True) * 200
+        ] if G in groups else []
+        sets += [_shared_conjugator_set(shared_rng, G) for _ in range(120)]
+        for gs in sets:
             radius = tree.absence_radius(gs)
-            walked = oracle_common_fixed_vertex(gs, G, radius)
-            assert common_fixed_vertex(gs, G, radius) == walked
+            walks = [oracle_common_fixed_vertex(gs, G, r) for r in range(radius + 2)]
+            assert [common_fixed_vertex(gs, G, r) for r in range(radius + 2)] == walks, (G, gs)
+            walked = walks[radius]
             certificate = tree.separating_pair(gs, G)
             assert (certificate is None) == (walked is not None), (G, gs)
             if certificate is None:
