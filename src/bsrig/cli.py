@@ -15,7 +15,8 @@ input).  ``fixed`` prints ``absent`` (JSON ``"proven": true``) when no
 common fixed vertex exists, at any radius, and the JSON carries the
 certificate: the first pair of words whose product is hyperbolic, with
 its translation length.  A common fixed vertex beyond the radius prints
-``none within radius R`` (``"proven": false``) with the radius that finds it.
+``none within radius R`` (``"proven": false``) with the least radius that
+finds it, the vertex's distance from the first word's witness vertex.
 """
 
 from __future__ import annotations
@@ -117,7 +118,9 @@ def _fixed(a, G):
             i, j, t = pair
             certificate = {"pair": [i, j], "translation_length": t}
             return {"vertex": None, "proven": True, "certificate": certificate}, "absent"
-        text = f"none within radius {a.radius}; --radius {tree.absence_radius(gs)} finds one"
+        v = tree.common_fixed_vertex(gs, G, sys.maxsize)[0]  # found at any radius
+        least = tree.vertex_distance(tree.vertex_of(tree.classify(gs[0], G).witness, G), v, G)
+        text = f"none within radius {a.radius}; --radius {least} finds one"
         return {"vertex": None, "proven": False}, text
     vertex = str(found[0])  # g0 is the vertex's own rep
     return {"vertex": vertex, "g0": vertex}, f"vertex={vertex} g0={vertex}"
@@ -130,7 +133,7 @@ def _tree_ball(a, G):
 
 def _coset(a, G):
     D = hecke.double_coset(word_nf(a.word, G), G)
-    return {"coset": str(D), "l": D.profile.l, "r": D.profile.r, "L": D.profile.L}, None
+    return {"coset": str(D), **D.profile.as_json()}, None
 
 
 def _convolve(a, G):

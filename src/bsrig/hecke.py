@@ -36,7 +36,6 @@ from .words import (
     NormalForm,
     Value,
     _carries,
-    nf_sort_key,
 )
 
 __all__ = [
@@ -166,7 +165,9 @@ class DoubleCoset(Value):
     __slots__ = ("representative", "profile")
 
     def sort_key(self) -> tuple:
-        return nf_sort_key(self.representative)
+        """Deterministic total order: b-length, then prefix, then tail."""
+        rep = self.representative
+        return (len(rep.prefix), rep.prefix, rep.tail)
 
     def __str__(self) -> str:
         return str(self.representative)

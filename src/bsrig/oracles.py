@@ -16,11 +16,12 @@ each conjugate g a^i g^-1 of a self-inverse decomposition, by two products
 and canonicalise it on its own, instead of walking the candidates by
 residue class with a shared prefix.
 The fixed-vertex oracle walks along geodesics from the first witness
-vertex, one product per element and step, to absence_radius, instead of
-reading the deepest witness vertex off the words and deciding absence by
-a hyperbolic pairwise product; a separating pair's certificate is checked
-on the concatenated words, the translation length t of p = g_i g_j as
-|p p|_b - |p|_b, with no tree code.
+vertex, one product per element and step, for up to half the largest
+b-length of the elements, instead of reading the deepest witness vertex
+off the words and deciding absence by a hyperbolic pairwise product; the
+walk proves absence by running out.  A separating pair's certificate is
+checked on the concatenated words, the translation length t of
+p = g_i g_j as |p p|_b - |p|_b, with no tree code.
 The ball oracle walks the tree breadth first, one sphere at a time, and
 sorts the labels and the edges at the end, instead of emitting them in
 output order.
@@ -45,7 +46,7 @@ from math import gcd
 
 from .fusion import ONE, BimoduleSum, Irreducible, RootOfUnity, angle_key, omega_member
 from .hecke import DoubleCoset, HeckeElement, coset_profile, double_coset
-from .tree import Hyperbolic, TreeVertex, _steps, absence_radius, classify, vertex_of
+from .tree import Hyperbolic, TreeVertex, _steps, classify, vertex_of
 from .words import (
     BsPresentation,
     GroupWord,
@@ -59,7 +60,6 @@ from .words import (
     inverse_word,
     invert,
     multiply,
-    nf_sort_key,
     normalize,
     to_group_word,
 )
@@ -230,16 +230,15 @@ def modular_ratio(g: NormalForm, G: BsPresentation) -> Fraction:
 
 
 def scan_double_coset(g: NormalForm, G: BsPresentation) -> DoubleCoset:
+    """<a> g <a> with the least of the tail-zeroed translates a^i g
+    (0 <= i < r(g)), by b-length and then prefix, each one multiplied out."""
     profile = coset_profile(g, G)
     base = NormalForm(g.prefix, 0)
     best = base
-    best_key = nf_sort_key(base)
     for i in range(1, profile.r):
-        cand = multiply(a_power(i), base, G)
-        cand = NormalForm(cand.prefix, 0)
-        key = nf_sort_key(cand)
-        if key < best_key:
-            best, best_key = cand, key
+        prefix = multiply(a_power(i), base, G).prefix
+        if (len(prefix), prefix) < (len(best.prefix), best.prefix):
+            best = NormalForm(prefix, 0)
     return DoubleCoset(best, profile)
 
 
@@ -429,7 +428,8 @@ def oracle_common_fixed_vertex(
     closed form: while some g moves the current vertex v, step to the
     first vertex of the geodesic from v to g v, read off the reps of v and
     g v.  No pair check, so absence shows only as a walk that runs out,
-    which proves it once radius_bound >= absence_radius(gs)."""
+    which proves it once the walk has gone max |g|_b // 2 steps: a common
+    fixed vertex lies within that distance of the first witness vertex."""
     gs = list(gs)
     if not gs:
         raise ValueError("need at least one element")
@@ -440,7 +440,7 @@ def oracle_common_fixed_vertex(
         if isinstance(c, Hyperbolic):
             raise ValueError(f"element {format_word(g)} is hyperbolic, it fixes no vertex")
     v = vertex_of(classes[0].witness, G)
-    for _ in range(min(radius_bound, absence_radius(gs)) + 1):
+    for _ in range(min(radius_bound, max(len(g.prefix) for g in gs) // 2) + 1):
         h = v.rep.prefix
         k = next((k for k in (multiply(g, v.rep, G).prefix for g in gs) if k != h), None)
         if k is None:

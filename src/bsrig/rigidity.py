@@ -122,13 +122,12 @@ def sign_witness(n: int, m: int) -> SignWitness:
         raise ValueError(f"need 2 <= n <= |m|, got ({n},{m})")
     if n == abs(m):
         raise ValueError("no sign witness exists when n = |m|")
-    k = gcd(n, abs(m))
-    n0, m0 = n // k, m // k
+    G = bs(n, m)
+    k, n0, m0 = G.k, G.n0, G.m0
     # the least t with (n0 |m0|)^t > 2: n0 < |m0| are coprime, so n0 |m0| >= 2
     t = 2 if n0 * abs(m0) == 2 else 1
     omega = RootOfUnity.of(1, k * n0 ** (t + 1) * m0**t)
     mu = RootOfUnity.of(1, k * n0**t * m0 ** (t + 1))
-    G = bs(n, m)
     if omega.power(n) != mu.power(m):
         raise InternalError("internal error: witness relation omega^n = mu^m fails")
     if mu.power(2 * m) == ONE:

@@ -129,13 +129,6 @@ def separating_pair(gs, G: BsPresentation) -> tuple[int, int, int] | None:
     return None
 
 
-def absence_radius(gs) -> int:
-    """max |g|_b // 2 over the elements gs: a common fixed vertex, if there
-    is one, lies within this distance of the first element's witness
-    vertex, so common_fixed_vertex finds it at this radius."""
-    return max(len(g.prefix) for g in gs) // 2
-
-
 def common_fixed_vertex(
     gs, G: BsPresentation, radius_bound: int
 ) -> tuple[TreeVertex, NormalForm] | None:

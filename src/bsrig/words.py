@@ -408,8 +408,3 @@ def cyclically_reduce(g: NormalForm, G: BsPresentation) -> tuple[NormalForm, Nor
     """
     i, j, tail = _cyclic_span(g, G)
     return NormalForm(g.prefix[:i], 0), NormalForm(g.prefix[i:j], tail)
-
-
-def nf_sort_key(nf: NormalForm) -> tuple:
-    """Deterministic total order: b-length, then prefix fields, then tail."""
-    return (len(nf.prefix), nf.prefix, nf.tail)

@@ -10,8 +10,14 @@ import pytest
 from bsrig import cli, hecke, rigidity, tree
 from bsrig.cli import run
 from bsrig.fusion import RootOfUnity
-from bsrig.oracles import oracle_exchange_partners, random_word
-from bsrig.words import bs, format_word, word_nf
+from bsrig.oracles import (
+    oracle_common_fixed_vertex,
+    oracle_exchange_partners,
+    random_elliptic,
+    random_nf,
+    random_word,
+)
+from bsrig.words import bs, conjugated_by, format_word, word_nf
 
 
 def invoke(capsys, *argv):
@@ -123,10 +129,11 @@ def test_many_separate_group_arguments(capsys):
 
 def test_fixed_says_whether_absence_is_proven(capsys):
     # the common fixed vertex b a b a b^-1 lies at distance 2 from the first
-    # word's witness vertex; radius 3 = max b-length // 2 always finds it
+    # word's witness vertex, and the hint names that least radius
     pair = ("b a b a^6 B a^-1 B", "b a b a B a B a^6 b a^-1 b a^-1 B a^-1 B")
-    code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", "1")
-    assert code == 0 and out != "absent\n" and "--radius 3" in out
+    for radius in ("0", "1"):
+        code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", radius)
+        assert (code, out) == (0, f"none within radius {radius}; --radius 2 finds one\n")
     code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", "1", "--format", "json")
     assert (code, json.loads(out)) == (0, {"vertex": None, "proven": False})
     code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", "2")
@@ -147,6 +154,31 @@ def test_fixed_says_whether_absence_is_proven(capsys):
     # the first separating pair: a^2 and a^4 share the base vertex
     code, out, _ = invoke(capsys, "--group", "2,3", "fixed", "a^2", "a^4", "b a^3 B", "--format", "json")
     assert json.loads(out)["certificate"] == {"pair": [0, 2], "translation_length": 2}
+    # on random elliptic sets with a common vertex, conjugated by a shared
+    # word, the hinted radius is the least one at which the walk finds the
+    # vertex, and it prints the vertex
+    for G in (bs(2, 3), bs(2, -3)):
+        rng = random.Random(30)
+        hinted = 0
+        for _ in range(150):
+            w = random_nf(rng, G, max_b=3, max_exp=6)
+            gs = [
+                conjugated_by(random_elliptic(rng, G, 2, deep=rng.random() < 0.7), w, G)
+                for _ in range(rng.randint(2, 3))
+            ]
+            if tree.separating_pair(gs, G):
+                continue
+            words = [format_word(g) for g in gs]
+            group = ("--group", f"{G.n},{G.m}", "fixed", *words, "--radius")
+            code, out, _ = invoke(capsys, *group, "0")
+            if out.startswith("vertex="):
+                continue
+            hinted += 1
+            least = int(out.removeprefix("none within radius 0; --radius ").removesuffix(" finds one\n"))
+            assert oracle_common_fixed_vertex(gs, G, least - 1) is None, words
+            v, _ = oracle_common_fixed_vertex(gs, G, least)
+            assert invoke(capsys, *group, str(least)) == (0, f"vertex={v} g0={v}\n", ""), words
+        assert hinted >= 30, hinted
 
 
 def test_help_names_the_equals_form_and_the_radius(capsys):

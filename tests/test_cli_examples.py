@@ -38,6 +38,9 @@ def readme_examples():
 def test_readme_examples_match(capsys):
     examples = readme_examples()
     assert len(examples) >= 14
+    # every example shows its output but the DOT ball
+    unshown = [argv for argv, shown in examples if shown is None]
+    assert unshown == [["--group", "2,3", "tree-ball", "e", "1"]]
     for argv, shown in examples:
         code = run(argv)
         out = capsys.readouterr().out

@@ -5,9 +5,11 @@ import pytest
 
 from bsrig import (
     CosetProfile,
+    DoubleCoset,
     GroupWord,
     HeckeElement,
     IDENTITY,
+    NormalForm,
     a_power,
     bs,
     candidates,
@@ -237,11 +239,9 @@ def test_double_coset_canonical_representative():
         D = double_coset(g, G23)
         assert D.representative.tail == 0
         # minimal among all tail-zeroed left translates
-        from bsrig.words import NormalForm, nf_sort_key
-
         for i in range(D.profile.r):
-            cand = multiply(a_power(i), g, G23)
-            assert nf_sort_key(D.representative) <= nf_sort_key(NormalForm(cand.prefix, 0))
+            cand = NormalForm(multiply(a_power(i), g, G23).prefix, 0)
+            assert D.sort_key() <= DoubleCoset(cand, D.profile).sort_key()
     # the digit-by-digit choice equals the scan over all r(g) translates
     groups = (
         bs(2, -3), bs(3, 4), bs(2, 2), bs(2, -2), bs(-2, 3),

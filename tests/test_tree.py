@@ -245,7 +245,7 @@ def _shared_conjugator_set(rng, G):
 
 def test_separating_pair_matches_the_walk():
     # the pair criterion and the closed form against the walk alone, at
-    # every radius 0..absence_radius + 1: on 2800 sets of 2-4 elliptic
+    # every radius 0..max |g|_b // 2 + 1: on 2800 sets of 2-4 elliptic
     # elements, half of them deep, and on sets of 1-4 elements that share a
     # conjugator, in three more groups too; each certificate is checked on
     # the words, and every earlier pair's product is elliptic
@@ -261,7 +261,7 @@ def test_separating_pair_matches_the_walk():
         ] if G in groups else []
         sets += [_shared_conjugator_set(shared_rng, G) for _ in range(120)]
         for gs in sets:
-            radius = tree.absence_radius(gs)
+            radius = max(len(g.prefix) for g in gs) // 2  # the walk's bound
             walks = [oracle_common_fixed_vertex(gs, G, r) for r in range(radius + 2)]
             assert [common_fixed_vertex(gs, G, r) for r in range(radius + 2)] == walks, (G, gs)
             walked = walks[radius]
