@@ -12,11 +12,11 @@ text mode prints the text, or the payload where there is none.  Exit
 codes: 0 success, 1 domain error, failed selftest or out of memory, 2
 usage error, 3 internal error (a broken invariant: a bug, never bad
 input).  ``fixed`` prints ``absent`` (JSON ``"proven": true``) when no
-common fixed vertex exists, at any radius, and the JSON carries the
-certificate: the first pair of words whose product is hyperbolic, with
-its translation length.  A common fixed vertex beyond the radius prints
-``none within radius R`` (``"proven": false``) with the least radius that
-finds it, the vertex's distance from the first word's witness vertex.
+common fixed vertex exists, at any radius, with the certificate in the
+JSON: the first pair of words whose product is hyperbolic, and its
+translation length.  A common fixed vertex beyond the radius prints
+``none within radius R; --radius P finds one`` (``"proven": false``,
+``"least_radius": P``), P its distance from the first word's witness vertex.
 """
 
 from __future__ import annotations
@@ -111,18 +111,16 @@ def _classify(a, G):
 
 def _fixed(a, G):
     gs = [word_nf(w, G) for w in a.words]
-    found = tree.common_fixed_vertex(gs, G, a.radius)
-    if found is None:
-        pair = tree.separating_pair(gs, G)
-        if pair:
-            i, j, t = pair
-            certificate = {"pair": [i, j], "translation_length": t}
-            return {"vertex": None, "proven": True, "certificate": certificate}, "absent"
-        v = tree.common_fixed_vertex(gs, G, sys.maxsize)[0]  # found at any radius
-        least = tree.vertex_distance(tree.vertex_of(tree.classify(gs[0], G).witness, G), v, G)
-        text = f"none within radius {a.radius}; --radius {least} finds one"
-        return {"vertex": None, "proven": False}, text
-    vertex = str(found[0])  # g0 is the vertex's own rep
+    if a.radius < 0:
+        raise ValueError("radius bound must be nonnegative")
+    v, d = tree.least_fixed_vertex(gs, G)
+    if v is None:  # d is the separating pair
+        certificate = {"pair": list(d[:2]), "translation_length": d[2]}
+        return {"vertex": None, "proven": True, "certificate": certificate}, "absent"
+    if d > a.radius:
+        text = f"none within radius {a.radius}; --radius {d} finds one"
+        return {"vertex": None, "proven": False, "least_radius": d}, text
+    vertex = str(v)  # g0 is the vertex's own rep
     return {"vertex": vertex, "g0": vertex}, f"vertex={vertex} g0={vertex}"
 
 

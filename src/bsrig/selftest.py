@@ -180,8 +180,8 @@ def _tree(rng: random.Random, s: Sizes) -> None:
 
     def certified_absent(gs):
         # no common fixed vertex, and a pair's certificate that the oracle accepts
-        certificate = tree.separating_pair(gs, G)
-        assert tree.common_fixed_vertex(gs, G, 8) is None and certificate is not None
+        v, certificate = tree.least_fixed_vertex(gs, G)
+        assert tree.common_fixed_vertex(gs, G, 8) is None and v is None
         assert oracles.oracle_separates(gs, certificate, G, oracle_rng), certificate
 
     certified_absent([word_nf("a^2", G), word_nf("b a^3 B", G)])

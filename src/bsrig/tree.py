@@ -13,12 +13,12 @@ label by one syllable and emits the lines already in output order.
 
 An element is elliptic iff its cyclically reduced core is an a-power;
 otherwise it is hyperbolic and translates along an axis by the cyclically
-reduced b-length.  Elliptic elements fix no common vertex exactly when
-some pairwise product is hyperbolic, which one product per pair decides;
-that pair and its translation length certify absence.  A common fixed
-vertex, when there is one, is read off the witnesses, not searched for:
-the deepest witness vertex is the least one, and one product per element
-checks it.
+reduced b-length.  One scan, least_fixed_vertex, settles a common fixed
+vertex of elliptic elements.  Either some pairwise product is hyperbolic,
+which one product per pair decides, and that pair and its translation
+length certify absence; or the deepest witness vertex is the least common
+one, read off the witnesses, not searched for, and one product per
+element checks it.
 """
 
 from __future__ import annotations
@@ -111,57 +111,53 @@ def classify(g: NormalForm, G: BsPresentation) -> Elliptic | Hyperbolic:
     return Elliptic(NormalForm(g.prefix[:i], 0))
 
 
-def separating_pair(gs, G: BsPresentation) -> tuple[int, int, int] | None:
-    """(i, j, t) for the first pair i < j of the sequence gs whose product
-    g_i g_j is hyperbolic, t its translation length; None if every pairwise
-    product is elliptic.  One product per pair.
+def least_fixed_vertex(
+    gs, G: BsPresentation
+) -> tuple[TreeVertex, int] | tuple[None, tuple[int, int, int]]:
+    """(v, d): the common fixed vertex v of least b-length of the elliptic
+    gs and its distance d from the first element's witness vertex; or
+    (None, (i, j, t)) when there is none: the first pair i < j whose product
+    g_i g_j is hyperbolic, t its translation length.  Rejects hyperbolic input.
 
-    For elliptic g and h, gh is hyperbolic exactly when Fix(g) and Fix(h)
-    are disjoint, and then t = 2 d(Fix g, Fix h) (Serre, Trees, I.6.5);
-    subtrees that meet pairwise have a common vertex.  So elliptic gs fix
-    no common vertex exactly when this returns a pair, which certifies it.
-    """
+    Serre, Trees, I.6.5: for elliptic g and h, gh is hyperbolic exactly when
+    Fix(g) and Fix(h) are disjoint, and then t = 2 d(Fix g, Fix h); subtrees
+    that meet pairwise have a common vertex.  So one product per pair decides
+    absence, and the pair certifies it.  Otherwise the witness vertex
+    prefix[:i] of each g is the projection of the base vertex onto Fix(g),
+    which contains the common fixed subtree X, so every geodesic from the
+    base vertex into X runs through all the witness vertices: the deepest of
+    them is the least vertex of X, i_top - i_0 from the first.  One product
+    per element checks that each element fixes it."""
+    gs = list(gs)
+    if not gs:
+        raise ValueError("need at least one element")
+    spans = [_cyclic_span(g, G) for g in gs]  # classify's, with no values built
+    for g, (i, j, _) in zip(gs, spans):
+        if j > i:
+            raise ValueError(f"element {format_word(g)} is hyperbolic, it fixes no vertex")
     for i, g in enumerate(gs):
         for j in range(i + 1, len(gs)):
             lo, hi, _ = _cyclic_span(multiply(g, gs[j], G), G)
             if hi > lo:
-                return i, j, hi - lo
-    return None
+                return None, (i, j, hi - lo)
+    top, deepest = max(zip((i for i, _, _ in spans), gs), key=lambda pair: pair[0])
+    v = TreeVertex(NormalForm(deepest.prefix[:top], 0))
+    if not all(fixes_vertex(g, v, G) for g in gs):
+        raise InternalError("internal error: an element moves the deepest witness vertex")
+    return v, top - spans[0][0]
 
 
 def common_fixed_vertex(
     gs, G: BsPresentation, radius_bound: int
 ) -> tuple[TreeVertex, NormalForm] | None:
-    """The common fixed vertex of least b-length of the elements of gs, with
-    its representative, if it lies within radius_bound >= 0 of the first
-    element's witness vertex v0; None otherwise.  Rejects hyperbolic input.
-    When separating_pair finds a pair, no common fixed vertex exists and the
-    answer is None at once, at any radius_bound.
-
-    Otherwise the common fixed subtree X is nonempty, and the answer is a
-    closed form (Serre, Trees, I.6.5).  The witness vertex prefix[:i] of
-    each g is the projection of the base vertex onto Fix(g), which contains
-    X, so every geodesic from the base vertex into X runs through all the
-    witness vertices: the deepest of them is the least vertex of X, and it
-    lies i_top - i_0 from v0.  One product per element checks that each
-    element fixes it.
-    """
+    """least_fixed_vertex's vertex with its rep, if it lies within
+    radius_bound >= 0 of the first element's witness vertex; None otherwise,
+    and at any radius_bound when the elements fix no common vertex."""
     gs = list(gs)
-    if not gs:
-        raise ValueError("need at least one element")
-    if radius_bound < 0:
+    if gs and radius_bound < 0:  # an empty gs is least_fixed_vertex's error
         raise ValueError("radius bound must be nonnegative")
-    spans = [_cyclic_span(g, G) for g in gs]  # classify's, with no values built
-    for g, (i, j, _) in zip(gs, spans):
-        if j > i:
-            raise ValueError(f"element {format_word(g)} is hyperbolic, it fixes no vertex")
-    if separating_pair(gs, G):
-        return None
-    top, deepest = max(zip((i for i, _, _ in spans), gs), key=lambda pair: pair[0])
-    v = TreeVertex(NormalForm(deepest.prefix[:top], 0))
-    if not all(fixes_vertex(g, v, G) for g in gs):
-        raise InternalError("internal error: an element moves the deepest witness vertex")
-    return (v, v.rep) if top - spans[0][0] <= radius_bound else None
+    v, d = least_fixed_vertex(gs, G)
+    return (v, v.rep) if v is not None and d <= radius_bound else None
 
 
 def export_ball(center: TreeVertex, radius: int, G: BsPresentation) -> str:

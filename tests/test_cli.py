@@ -135,7 +135,7 @@ def test_fixed_says_whether_absence_is_proven(capsys):
         code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", radius)
         assert (code, out) == (0, f"none within radius {radius}; --radius 2 finds one\n")
     code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", "1", "--format", "json")
-    assert (code, json.loads(out)) == (0, {"vertex": None, "proven": False})
+    assert (code, json.loads(out)) == (0, {"vertex": None, "proven": False, "least_radius": 2})
     code, out, _ = invoke(capsys, "--group", "2,3", "fixed", *pair, "--radius", "2")
     assert (code, out) == (0, "vertex=b a b a b^-1 g0=b a b a b^-1\n")
     # radius 0 checks the witness vertex alone
@@ -166,7 +166,7 @@ def test_fixed_says_whether_absence_is_proven(capsys):
                 conjugated_by(random_elliptic(rng, G, 2, deep=rng.random() < 0.7), w, G)
                 for _ in range(rng.randint(2, 3))
             ]
-            if tree.separating_pair(gs, G):
+            if tree.least_fixed_vertex(gs, G)[0] is None:
                 continue
             words = [format_word(g) for g in gs]
             group = ("--group", f"{G.n},{G.m}", "fixed", *words, "--radius")
@@ -175,6 +175,8 @@ def test_fixed_says_whether_absence_is_proven(capsys):
                 continue
             hinted += 1
             least = int(out.removeprefix("none within radius 0; --radius ").removesuffix(" finds one\n"))
+            code, out, _ = invoke(capsys, *group, "0", "--format", "json")
+            assert json.loads(out) == {"vertex": None, "proven": False, "least_radius": least}, words
             assert oracle_common_fixed_vertex(gs, G, least - 1) is None, words
             v, _ = oracle_common_fixed_vertex(gs, G, least)
             assert invoke(capsys, *group, str(least)) == (0, f"vertex={v} g0={v}\n", ""), words

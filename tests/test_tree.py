@@ -25,7 +25,7 @@ from bsrig import (
     vertex_of,
     word_nf,
 )
-from bsrig import tree, words
+from bsrig import cli, tree, words
 from bsrig.oracles import (
     oracle_common_fixed_vertex,
     oracle_export_ball,
@@ -191,7 +191,7 @@ def test_common_fixed_vertex_instance_with_hyperbolic_product():
     assert common_fixed_vertex([g, h], G23, 4) is None
 
 
-def test_common_fixed_vertex_work_is_one_product_per_pair_and_element(monkeypatch):
+def test_common_fixed_vertex_work_is_one_product_per_pair_and_element(monkeypatch, capsys):
     # one product per pair decides absence, whatever the radius; otherwise
     # one product per element checks the deepest witness vertex, where a
     # ball search makes thousands at radius 5
@@ -213,6 +213,18 @@ def test_common_fixed_vertex_work_is_one_product_per_pair_and_element(monkeypatc
             assert (found and str(found[0])) == expect
             pairs = len(gs) * (len(gs) - 1) // 2
             assert calls == (pairs if expect is None else pairs + len(gs))
+    # fixed makes one tree call: absent costs the pairs up to the separating
+    # one, here (0, 1), (0, 2), (0, 3) of the k(k-1)/2 = 6, and a vertex,
+    # found or beyond the radius, one product per pair and per element
+    vertex = "b a b a b^-1"
+    for words, radius, out, expect in (
+        (["a^2", "a^4", "a^6", "b a^3 B"], "8", "absent", 3),
+        (deep, "0", "none within radius 0; --radius 2 finds one", 1 + 2),
+        (deep, "2", f"vertex={vertex} g0={vertex}", 1 + 2),
+    ):
+        calls = 0
+        assert cli.run(["--group", "2,3", "fixed", *words, "--radius", radius]) == 0
+        assert (capsys.readouterr().out, calls) == (out + "\n", expect), words
 
 
 def test_elliptic_pairs_with_elliptic_product_share_a_vertex():
@@ -243,12 +255,13 @@ def _shared_conjugator_set(rng, G):
     return gs
 
 
-def test_separating_pair_matches_the_walk():
+def test_least_fixed_vertex_matches_the_walk():
     # the pair criterion and the closed form against the walk alone, at
     # every radius 0..max |g|_b // 2 + 1: on 2800 sets of 2-4 elliptic
     # elements, half of them deep, and on sets of 1-4 elements that share a
     # conjugator, in three more groups too; each certificate is checked on
-    # the words, and every earlier pair's product is elliptic
+    # the words, and every earlier pair's product is elliptic; each vertex's
+    # distance d is the least radius at which the walk finds it
     rng = random.Random(28)
     shared_rng = random.Random(29)
     oracle_rng = random.Random(0)
@@ -264,13 +277,15 @@ def test_separating_pair_matches_the_walk():
             radius = max(len(g.prefix) for g in gs) // 2  # the walk's bound
             walks = [oracle_common_fixed_vertex(gs, G, r) for r in range(radius + 2)]
             assert [common_fixed_vertex(gs, G, r) for r in range(radius + 2)] == walks, (G, gs)
-            walked = walks[radius]
-            certificate = tree.separating_pair(gs, G)
-            assert (certificate is None) == (walked is not None), (G, gs)
-            if certificate is None:
+            v, d = tree.least_fixed_vertex(gs, G)
+            assert (v is None) == (walks[radius] is None), (G, gs)
+            if v is not None:
+                assert d <= radius and walks[d] == (v, v.rep), (G, gs)
+                assert d == 0 or walks[d - 1] is None, (G, gs)
                 present += 1
                 continue
             absent += 1
+            certificate = d  # the separating pair
             assert oracle_separates(gs, certificate, G, oracle_rng), certificate
             i, j, t = certificate
             assert not oracle_separates(gs, (i, j, t + 1), G, oracle_rng)
