@@ -251,8 +251,10 @@ def hecke_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> Hecke
     cosets of F exactly c^F times, and d a^i e a^j lies in F iff d a^i e
     does, so counting over i alone fixes every coefficient and the division
     is exact (Krieg, Hecke algebras, Mem. AMS 435).  The unit coset acts as
-    identity, and the degree map T_D -> l(d) is multiplicative:
-    sum_F c^F l(f_F) = l(d) l(e).
+    identity, and the degree maps T_D -> l(d) and T_D -> r(d) are
+    multiplicative: sum_F c^F l(f_F) = l(d) l(e), which the counting
+    gives by construction, and sum_F c^F r(f_F) = r(d) r(e), which it does
+    not, so each product of two cosets is checked against the second.
 
     The double coset of d a^i e only depends on i mod g, g = gcd(l(d),
     r(e)): d a^{i + L(d)} e = a^{r(d)} d a^i e with |L(d)| = l(d), and
@@ -272,11 +274,18 @@ def hecke_convolve(x: HeckeElement, y: HeckeElement, G: BsPresentation) -> Hecke
             hits = Counter()
             for F, count in residue_walk(d.prefix, 0, period, e.prefix, G):
                 hits[F] += count
+            degree = 0  # sum_F c^F r(f_F), which must be r(d) r(e)
             for F, count in hits.items():
                 c, rem = divmod(E.profile.l * count * (D.profile.l // period), F.profile.l)
                 if rem:
                     raise InternalError(
                         f"internal error: coefficient of {F} in {D} * {E} is not an integer"
                     )
+                degree += c * F.profile.r
                 acc[F] = acc.get(F, 0) + cD * cE * c
+            if degree != D.profile.r * E.profile.r:
+                raise InternalError(
+                    f"internal error: the right degrees of {D} * {E} sum to {degree},"
+                    f" not {D.profile.r} * {E.profile.r}"
+                )
     return HeckeElement.from_dict(acc)

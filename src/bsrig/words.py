@@ -66,10 +66,6 @@ class WordSyntaxError(ValueError):
         self.offset = offset
 
 
-# Field stores in the __init__ of Value classes, which refuse plain assignment.
-_set = object.__setattr__
-
-
 class Value:
     """Base of the immutable value classes: plain ``__slots__`` classes with
     the behaviour of a frozen dataclass at a fraction of its import cost.
@@ -77,14 +73,19 @@ class Value:
     A subclass writes only its ``__slots__`` (the fields, in order) and, as
     the class keyword ``optional``, how many trailing fields default to
     None; the base derives everything else from the slots.  The constructor
-    takes the fields by position or keyword and stores each with ``_set``;
-    it is generated from source, as ``collections.namedtuple`` generates
-    ``__new__``, so that it costs no more than a hand-written one.
+    takes the fields by position or keyword.  It is generated from source,
+    as ``collections.namedtuple`` generates ``__new__``, and stores each
+    field through the ``__set__`` of that slot's own member descriptor,
+    bound into its globals: plain assignment is refused, and the generic
+    ``object.__setattr__`` is slower (``NormalForm((), 0)`` takes about
+    280 ns this way against 365 through it, Python 3.11).
     Equality holds only within the same class, field by field, and a value
     hashes as the tuple of its fields.  Assignment and deletion raise
     AttributeError, the repr reads ``Cls(field=value, ...)`` and pickling
     and copying go by the field tuple.  A subclass with ``__slots__ = ()``
-    keeps its parent's constructor, equality and hash.
+    keeps its parent's constructor, equality and hash; one that adds slots
+    below a class with fields is refused with TypeError, as its derived
+    constructor, equality and hash would drop the inherited fields.
     """
 
     __slots__ = ()
@@ -93,6 +94,9 @@ class Value:
         names = cls.__slots__
         if not names:
             return
+        for base in cls.__mro__[1:]:
+            if base.__dict__.get("__slots__"):
+                raise TypeError(f"{cls.__qualname__} adds fields below {base.__qualname__}'s")
         fields = attrgetter(*names)  # the bare value for one field
         single = len(names) == 1
 
@@ -104,8 +108,8 @@ class Value:
         def __hash__(self):
             return hash((fields(self),) if single else fields(self))
 
-        namespace = {"_set": _set}
-        stores = "".join(f"\n _set(self, {name!r}, {name})" for name in names)
+        namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+        stores = "".join(f"\n _set_{name}(self, {name})" for name in names)
         exec(f"def __init__(self, {', '.join(names)}):{stores}", namespace)
         __init__ = namespace["__init__"]
         __init__.__defaults__ = (None,) * optional

@@ -515,6 +515,27 @@ def test_a_fractional_coefficient_is_a_bug(monkeypatch):
         hecke_convolve(HeckeElement.single(b), HeckeElement.single(B), G23)
 
 
+def test_a_walk_that_miscounts_a_leaf_is_a_bug(monkeypatch):
+    # T_b * T_B in BS(2,3) is 3 T_e + T_{b a B}, right degrees 3 * 1 + 1 * 3
+    # = 6 = r(b) r(B); doubling the count of one leaf keeps every coefficient
+    # an integer and only the right degree sum sees it
+    b = double_coset(word_nf("b", G23), G23)
+    B = double_coset(word_nf("B", G23), G23)
+    walk = candidates.residue_walk
+
+    def first_leaf_doubled(*args):
+        leaves = walk(*args)
+        F, count = next(leaves)
+        yield F, 2 * count
+        yield from leaves
+
+    x, y = HeckeElement.single(b), HeckeElement.single(B)
+    assert sum(c * F.profile.r for F, c in hecke_convolve(x, y, G23).terms) == 6
+    monkeypatch.setattr(candidates, "residue_walk", first_leaf_doubled)
+    with pytest.raises(InternalError, match=r"right degrees of b \* b\^-1 sum to 9, not 3 \* 2"):
+        hecke_convolve(x, y, G23)
+
+
 def test_self_inverse_product_matches_decomposition():
     # T_g * T_{g^-1} = r(g) T_e + the sum of the decomposition's coset terms
     rng = random.Random(24)

@@ -3,11 +3,14 @@ gave them, kept by the plain slots classes on ``words.Value``."""
 
 import ast
 import copy
+import importlib
 import inspect
 import pickle
+import pkgutil
 
 import pytest
 
+import bsrig
 from bsrig import (
     BimoduleSum,
     CosetProfile,
@@ -114,12 +117,41 @@ def test_constructor_defaults_and_names():
     assert twin.__init__ is NormalForm.__init__ and twin((), 3).tail == 3
 
 
+def test_adding_fields_below_a_class_with_fields_is_refused():
+    # the derived constructor, equality and hash would see only the new
+    # slots: X(5) would build X(extra=5) with no prefix or tail
+    with pytest.raises(TypeError, match="adds fields below NormalForm's"):
+        type("X", (NormalForm,), {"__slots__": ("extra",)})
+    twin = type("TwinNormalForm", (NormalForm,), {"__slots__": ()})
+    with pytest.raises(TypeError, match="adds fields below NormalForm's"):
+        type("Y", (twin,), {"__slots__": ("extra",)})
+
+
+def test_every_value_class_is_covered():
+    # the contract test above holds one value of every Value subclass that
+    # the package defines, in any of its modules
+    for info in pkgutil.walk_packages(bsrig.__path__, "bsrig."):
+        importlib.import_module(info.name)
+    todo, defined = [words.Value], set()
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("bsrig."):
+                defined.add(cls)
+    assert defined <= {type(value) for value, _ in VALUES}, defined
+
+
 def test_layer_values_write_no_constructor():
     # every Value subclass of a layer module states its fields once, in
-    # __slots__, and takes the constructor the base derives from them
+    # __slots__, and takes the constructor the base derives from them; no
+    # layer module stores fields through object.__setattr__
     for module in (words, hecke, tree, fusion, rigidity):
-        assert module is words or not hasattr(module, "_set"), module.__name__
+        assert not hasattr(module, "_set"), module.__name__
         for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+                assert not (isinstance(node.value, ast.Name) and node.value.id == "object"), (
+                    f"{module.__name__}:{node.lineno}"
+                )
             if isinstance(node, ast.ClassDef) and issubclass(getattr(module, node.name), words.Value):
                 defined = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
                 assert "__init__" not in defined, f"{module.__name__}.{node.name}"

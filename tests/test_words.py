@@ -28,7 +28,7 @@ from bsrig.oracles import (
     with_inserted_relator,
 )
 from bsrig import words
-from bsrig.words import Value, _set, concat_words, inverse_word
+from bsrig.words import Value, concat_words, inverse_word
 
 G23 = bs(2, 3)
 GROUPS = [bs(2, 3), bs(2, -2), bs(3, 6), bs(1, 2)]
@@ -48,17 +48,9 @@ def test_presentation_derived_fields():
 class _Single(Value):
     __slots__ = ("x",)
 
-    def __init__(self, x):
-        _set(self, "x", x)
-
 
 class _Triple(Value):
     __slots__ = ("x", "y", "z")
-
-    def __init__(self, x, y, z):
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
 
 
 @pytest.mark.parametrize("cls, fields", [(_Single, (7,)), (_Triple, ("u", (1, 2), None))])
