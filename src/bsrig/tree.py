@@ -43,6 +43,7 @@ __all__ = [
     "vertex_distance",
     "fixes_vertex",
     "classify",
+    "least_fixed_vertex",
     "common_fixed_vertex",
     "export_ball",
 ]

@@ -21,7 +21,10 @@ each crossing multiplies a-powers by m/n or n/m and fixed-width integers
 would overflow silently.
 
 One crossing loop, ``_push``, appends a run of letters a^s b^e to a
-normal form with the crossing table ``_carries``.  ``parse_word`` makes
+normal form with the crossing table ``_carries``.  By the relation
+a^{c q} b^e = b^e a^{d q}, a^{C Q} crosses a whole run as a^{A Q}, C and A
+the products of the run's c and d, so a product divides a wide tail by C
+once instead of by each c in turn.  ``parse_word`` makes
 one pass to take the terms and one to tokenize and merge; where the
 terms stop is where a bad text fails.
 """
@@ -85,7 +88,9 @@ class Value:
     and copying go by the field tuple.  A subclass with ``__slots__ = ()``
     keeps its parent's constructor, equality and hash; one that adds slots
     below a class with fields is refused with TypeError, as its derived
-    constructor, equality and hash would drop the inherited fields.
+    constructor, equality and hash would drop the inherited fields, and so
+    is one with fields that writes its own ``__init__``, which the derived
+    constructor would silently replace.
     """
 
     __slots__ = ()
@@ -97,6 +102,8 @@ class Value:
         for base in cls.__mro__[1:]:
             if base.__dict__.get("__slots__"):
                 raise TypeError(f"{cls.__qualname__} adds fields below {base.__qualname__}'s")
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__} writes an __init__, which the derived one would replace")
         fields = attrgetter(*names)  # the bare value for one field
         single = len(names) == 1
 
@@ -304,14 +311,27 @@ def _carries(G: BsPresentation) -> tuple[tuple[int, int], tuple[int, int]]:
     return (m, n) if m > 0 else (-m, -n), (n, m) if n > 0 else (-n, -m)
 
 
-def _push(u: NormalForm, letters, tail: int, G: BsPresentation) -> NormalForm:
-    """u a^{s_1} b^{e_1} ... a^{s_k} b^{e_k} a^{tail} in normal form, given
-    the (s, e) letters.  Crossing b^e turns a^t b^e into a^{t0} b^e a^{d q}
-    with t = c q + t0; when t0 = 0 right after b^-e, that is the pinch
-    b^-e a^{c q} b^e = a^{d q}."""
+def _push(prefix, t: int, letters, tail: int, G: BsPresentation) -> NormalForm:
+    """prefix a^t a^{s_1} b^{e_1} ... a^{s_k} b^{e_k} a^{tail} in normal
+    form, given a normal-form prefix and the (s, e) letters.  Crossing b^e
+    turns a^t b^e into a^{t0} b^e a^{d q} with t = c q + t0; when t0 = 0
+    right after b^-e, that is the pinch b^-e a^{c q} b^e = a^{d q}.
+
+    A wide t crosses the whole run at once: with C and A the products of
+    the letters' c and d, a^{C Q} crosses each letter as a^{(C/c) d Q},
+    pinch or not, so t = C Q + r leaves the digits as r's and adds A Q to
+    the tail.  For a T-bit t and k letters that is one division by the
+    |C|-bit C, T |C| / w^2 steps on w-bit words, and k crossings below C,
+    against k T / w for k full-width divisions; |C| is about k log2 c, so
+    the split saves a factor of about w / log2 c.  t splits when it is
+    wider than a word and than C can be."""
     up, down = _carries(G)
-    prefix = list(u.prefix)
-    t = u.tail
+    prefix = list(prefix)
+    if t.bit_length() > 64 and t.bit_length() > len(letters) * max(up[0], down[0]).bit_length():
+        ups = (len(letters) + sum(e for _, e in letters)) // 2
+        downs = len(letters) - ups
+        q, t = divmod(t, up[0] ** ups * down[0] ** downs)
+        tail += q * up[1] ** ups * down[1] ** downs
     for s, e in letters:
         c, d = up if e == 1 else down
         q, t0 = divmod(t + s, c)
@@ -336,7 +356,7 @@ def normalize(w: GroupWord, G: BsPresentation) -> NormalForm:
             letters.append((s, e))
             letters += [(0, e)] * (abs(exp) - 1)
             s = 0
-    return _push(IDENTITY, letters, s, G)
+    return _push((), 0, letters, s, G)
 
 
 def word_nf(text: str, G: BsPresentation) -> NormalForm:
@@ -345,32 +365,32 @@ def word_nf(text: str, G: BsPresentation) -> NormalForm:
 
 
 def multiply(u: NormalForm, v: NormalForm, G: BsPresentation) -> NormalForm:
-    return _push(u, v.prefix, v.tail, G)
+    return _push(u.prefix, u.tail, v.prefix, v.tail, G)
 
 
 def invert(u: NormalForm, G: BsPresentation) -> NormalForm:
-    """a^{-t} b^{-e_k} a^{-s_k} ... b^{-e_1} a^{-s_1}, pushed as letters."""
+    """a^{-t} b^{-e_k} a^{-s_k} ... b^{-e_1} a^{-s_1}: a^{-t}, then the
+    letters, so that a wide t crosses them at once."""
     letters = []
-    t = u.tail
+    t = 0
     for s, e in reversed(u.prefix):
         letters.append((-t, -e))
         t = s
-    return _push(IDENTITY, letters, -t, G)
+    return _push((), -u.tail, letters, -t, G)
 
 
 def power(u: NormalForm, z: int, G: BsPresentation) -> NormalForm:
     if z < 0:
         u = invert(u, G)
         z = -z
-    acc = IDENTITY
-    sq = u
+    acc = None
     while z:
         if z & 1:
-            acc = multiply(acc, sq, G)
+            acc = u if acc is None else multiply(acc, u, G)
         z >>= 1
         if z:
-            sq = multiply(sq, sq, G)
-    return acc
+            u = multiply(u, u, G)
+    return IDENTITY if acc is None else acc
 
 
 def conjugated_by(g: NormalForm, h: NormalForm, G: BsPresentation) -> NormalForm:

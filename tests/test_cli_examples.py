@@ -74,9 +74,10 @@ PUBLIC = {
     "crossed_product_obstruction", "cyclically_reduce", "decompose_self_inverse",
     "double_coset", "exchange_partners", "export_ball", "f_set", "f_set_member",
     "fixes_vertex", "format_word", "hecke_convolve", "invert", "is_amenable",
-    "is_isomorphic", "multiply", "normalize", "omega_member", "parse_word", "power",
-    "qc_member", "recover_parameters", "same_double_coset", "sign_witness", "to_group_word",
-    "vertex_distance", "vertex_neighbors", "vertex_of", "word_nf",
+    "is_isomorphic", "least_fixed_vertex", "multiply", "normalize", "omega_member",
+    "parse_word", "power", "qc_member", "recover_parameters", "same_double_coset",
+    "sign_witness", "to_group_word", "vertex_distance", "vertex_neighbors", "vertex_of",
+    "word_nf",
 }
 
 

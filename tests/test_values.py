@@ -127,6 +127,15 @@ def test_adding_fields_below_a_class_with_fields_is_refused():
         type("Y", (twin,), {"__slots__": ("extra",)})
 
 
+def test_a_written_constructor_is_refused():
+    # the constructor derived from the slots would silently replace it
+    def __init__(self, x):
+        raise AssertionError("never runs")
+
+    with pytest.raises(TypeError, match="Single writes an __init__"):
+        type("Single", (words.Value,), {"__slots__": ("x",), "__init__": __init__})
+
+
 def test_every_value_class_is_covered():
     # the contract test above holds one value of every Value subclass that
     # the package defines, in any of its modules

@@ -250,7 +250,8 @@ def test_power():
 
 def test_each_product_builds_once_and_pushes_once(monkeypatch):
     # a product crosses all its letters in one push, never one call per
-    # letter; power makes one product per square and per set bit
+    # letter; power makes one product per square and per set bit after
+    # the first, which takes its square as it is
     pushed = []
     push = words._push
 
@@ -269,7 +270,7 @@ def test_each_product_builds_once_and_pushes_once(monkeypatch):
     for z in (1, 2, 5, 13, -6, -64):
         pushed.clear()
         power(g, z, G)
-        products = bin(abs(z)).count("1") + abs(z).bit_length() - 1 + (z < 0)
+        products = bin(abs(z)).count("1") - 1 + abs(z).bit_length() - 1 + (z < 0)
         assert len(pushed) == products, z
 
 
@@ -316,6 +317,73 @@ def test_builder_on_signed_groups_against_the_pinch_oracle():
             y, z = rng.randint(-9, 9), rng.randint(-9, 9)
             assert power(nu, y + z, G) == multiply(power(nu, y, G), power(nu, z, G), G)
     assert identities >= 60
+
+
+# the signed groups, the reference chamber, BS(1, m) and n = m
+WIDE_TAIL_GROUPS = SIGNED_GROUPS + [bs(2, 3), bs(1, 2), bs(2, 2), bs(-3, 5)]
+
+
+def _spelled(*nfs):
+    return GroupWord.of(syllable for nf in nfs for syllable in to_group_word(nf).syllables)
+
+
+def test_wide_tails_cross_a_run_as_the_spelled_word_does():
+    # u's tail is 100 to 20000 bits wide, just past the width of the right
+    # factor's carry product C (a split) or at most half of it (none); the
+    # right factor is random, u^-1 (every letter pinches) or u^-1 with
+    # another tail (a partial cascade).  normalize starts from the identity
+    # and never splits, so the spelled word is the reference
+    rng = random.Random(33)
+    identities = splits = checked = 0
+    for G in WIDE_TAIL_GROUPS:
+        widest = max(abs(G.n), abs(G.m)).bit_length()
+        for trial in range(18):
+            u = normalize(random_word(rng, max_b=rng.choice((4, 40, 300)), max_exp=99), G)
+            v = normalize(random_word(rng, max_b=rng.choice((4, 40, 300)), max_exp=99), G)
+            k = len(u.prefix if trial % 3 else v.prefix)  # v's b-length
+            bits = (
+                rng.randint(100, 20_000),
+                max(k * widest, 64) + rng.randint(1, 3),
+                rng.randint(1, max(k * widest // 2, 1)),
+            )[trial // 3 % 3]
+            splits += bits > max(k * widest, 64)
+            tail = rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+            u = NormalForm(u.prefix, tail)
+            if trial % 3 == 1:
+                v = invert(u, G)
+            elif trial % 3 == 2:
+                delta = rng.randint(-9, 9) * (G.n * G.m) ** rng.randint(0, 9)
+                v = invert(NormalForm(u.prefix, tail - delta), G)
+            product = multiply(u, v, G)
+            assert product == normalize(_spelled(u, v), G), (G, trial)
+            assert invert(u, G) == normalize(inverse_word(to_group_word(u)), G), (G, trial)
+            z = rng.randint(-3, 3)
+            spelled = _spelled(*[u] * abs(z))
+            assert power(u, z, G) == normalize(spelled if z > 0 else inverse_word(spelled), G)
+            identities += product == IDENTITY
+            if len(u.prefix) + len(v.prefix) <= 12:
+                assert (product == IDENTITY) == oracle_is_identity(_spelled(u, v), G, rng)
+                checked += 1
+    assert identities >= 40 and splits >= 40 and checked >= 20
+
+
+def test_a_wide_tail_crosses_a_run_in_one_division(monkeypatch):
+    # a 100000-bit tail by b^500 in BS(2,3): one division of the full
+    # width, where one per letter would make 500
+    wide = []
+
+    def counting_divmod(x, y):
+        if x.bit_length() > 50_000:
+            wide.append(x)
+        return divmod(x, y)
+
+    u = NormalForm((), random.Random(7).getrandbits(100_000) | 1 << 99_999)
+    v = word_nf("b^500", G23)
+    monkeypatch.setattr(words, "divmod", counting_divmod, raising=False)
+    product = multiply(u, v, G23)
+    assert len(wide) == 1
+    monkeypatch.undo()
+    assert product == normalize(_spelled(u, v), G23)
 
 
 def test_b_length_examples():
