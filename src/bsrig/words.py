@@ -24,9 +24,10 @@ One crossing loop, ``_push``, appends a run of letters a^s b^e to a
 normal form with the crossing table ``_carries``.  By the relation
 a^{c q} b^e = b^e a^{d q}, a^{C Q} crosses a whole run as a^{A Q}, C and A
 the products of the run's c and d, so a product divides a wide tail by C
-once instead of by each c in turn.  ``parse_word`` makes
-one pass to take the terms and one to tokenize and merge; where the
-terms stop is where a bad text fails.
+once instead of by each c in turn.  ``normalize`` hands each single
+b-letter to ``_push`` as it is and spells out only a true run b^k.
+``parse_word`` makes one pass to take the terms and one to tokenize and
+merge; where the terms stop is where a bad text fails.
 """
 
 from __future__ import annotations
@@ -243,15 +244,18 @@ def parse_word(text: str) -> GroupWord:
     character no term takes."""
     end = _WORD.match(text).end()
     stack: list[tuple[str, int]] = []
+    top = None  # the letter on top of the stack
     try:
         for ch, digits in _TOKEN.findall(text, 0, end):
             letter, exp = _LETTERS[ch]
             if digits:
                 exp *= int(digits)
-            if stack and stack[-1][0] == letter:
+            if letter == top:
                 exp += stack.pop()[1]
+                top = stack[-1][0] if stack else None
             if exp:
                 stack.append((letter, exp))
+                top = letter
     except ValueError:  # only the interpreter's int-string limit rejects digits
         # an earlier exponent with the same digits would have failed first
         at = next(t.start(2) for t in _TOKEN.finditer(text, 0, end) if t[2] == digits)
@@ -344,13 +348,17 @@ def _push(prefix, t: int, letters, tail: int, G: BsPresentation) -> NormalForm:
 
 
 def normalize(w: GroupWord, G: BsPresentation) -> NormalForm:
-    """Rewrite a free word to its unique right-pushed pinch-free form: b^k
-    is the letter (s, e) after the a-power s, then k - 1 letters (0, e)."""
+    """Rewrite a free word to its unique right-pushed pinch-free form: a
+    single b^e after the a-power s is the letter (s, e) as it is, and a run
+    b^k with |k| >= 2 is (s, e), then |k| - 1 letters (0, e)."""
     letters: list[tuple[int, int]] = []
     s = 0
     for letter, exp in w.syllables:
         if letter == "a":
             s += exp
+        elif exp == 1 or exp == -1:
+            letters.append((s, exp))
+            s = 0
         elif exp:
             e = 1 if exp > 0 else -1
             letters.append((s, e))

@@ -158,6 +158,9 @@ def test_parser_matches_the_merged_character_oracle():
     texts = [_random_text(rng) for _ in range(5000)]
     texts += ["ba^2B", "a^3a^-3", "e e", "ee", "b^0", "b a^0 B", "a^2b^0a^-2", "AAa^2", "a^-0", "Bb", "e^2", "a ^2", "a^-"]
     texts.append("b a^-" + "9" * 5000)
+    # a cancellation exposes a top letter equal to the next token
+    texts += ["a b B a", "b a A B b", "a A a A", "B b B", "ab^2B^2A", "e a b B e A", "a b B " * 10_000]
+    assert parse_word("a b B a").syllables == (("a", 2),)
     # a long word that is bad only at its last character: the check must
     # back out of each term in constant time to stay linear
     long = "b a^12 B A^-3 a^4 B " * 10_000
@@ -278,6 +281,38 @@ def test_each_product_builds_once_and_pushes_once(monkeypatch):
 SIGNED_GROUPS = [bs(-2, 3), bs(-3, -5), bs(1, -1), bs(2, -4)]
 
 
+def _expanded_letters(w):
+    """The letters and tail of w with every b-syllable b^k spelled out as
+    the letter (s, e) after the a-power s, then |k| - 1 letters (0, e)."""
+    letters, s = [], 0
+    for letter, exp in w.syllables:
+        if letter == "a":
+            s += exp
+        elif exp:
+            e = 1 if exp > 0 else -1
+            letters += [(s, e)] + [(0, e)] * (abs(exp) - 1)
+            s = 0
+    return letters, s
+
+
+def _mixed_b_word(rng, G):
+    """Single letters, runs b^{+-k} with 2 <= k <= 5, and pinch chains
+    b^d a^{n^d j} B^d and B^d a^{m^d j} b^d between a-powers."""
+    syllables = []
+    for _ in range(rng.randint(0, 10)):
+        syllables.append(("a", rng.choice((0, rng.randint(-99, 99)))))
+        shape, e = rng.randrange(3), rng.choice((1, -1))
+        if shape == 0:
+            syllables.append(("b", e))
+        elif shape == 1:
+            syllables.append(("b", e * rng.randint(2, 5)))
+        else:
+            d = rng.randint(1, 3)
+            power = (G.n if e == 1 else G.m) ** d * rng.randint(-9, 9)
+            syllables += [("b", e * d), ("a", power), ("b", -e * d)]
+    return GroupWord.of(syllables)
+
+
 def _assert_normal(nf, G):
     for idx, (s, e) in enumerate(nf.prefix):
         assert 0 <= s < (abs(G.m) if e == 1 else abs(G.n)), (G, nf)
@@ -317,6 +352,21 @@ def test_builder_on_signed_groups_against_the_pinch_oracle():
             y, z = rng.randint(-9, 9), rng.randint(-9, 9)
             assert power(nu, y + z, G) == multiply(power(nu, y, G), power(nu, z, G), G)
     assert identities >= 60
+    # normalize of single letters, runs and pinch chains, in the wide-tail
+    # groups too, against a push of every b spelled out as its own letter;
+    # every tenth word also holds b^0 syllables, which GroupWord.of drops
+    pinched = 0
+    for G in WIDE_TAIL_GROUPS:
+        for trial in range(60):
+            w = _mixed_b_word(rng, G)
+            if trial % 10 == 0:
+                w = GroupWord(w.syllables + (("b", 0), ("a", 7), ("b", 0)))
+            nf = normalize(w, G)
+            _assert_normal(nf, G)
+            assert nf == words._push((), 0, *_expanded_letters(w), G), (G, w)
+            assert len(nf.prefix) == oracle_b_length(w, G, rng), (G, w)
+            pinched += len(nf.prefix) < len(_expanded_letters(w)[0])
+    assert pinched >= 150
 
 
 # the signed groups, the reference chamber, BS(1, m) and n = m
