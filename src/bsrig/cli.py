@@ -2,21 +2,25 @@
 
 One binary, subcommand style, declared once per subcommand in ``COMMANDS``:
 help, arguments, whether ``--group n,m`` is needed and a handler
-returning ``(payload, text)``.  Negative values are allowed: ``2,-3``;
-argparse reads an argument that starts with ``-`` as an option, so
-``--group -2,3`` is joined into ``--group=-2,3`` before parsing, and a
-positional argument such as ``-2,-3`` or ``-1/3`` follows a ``--``
-separator (``bsrig iso -- -2,-3 2,3``).
-``--format json`` emits exactly one JSON document on stdout, the payload;
-text mode prints the text, or the payload where there is none.  Exit
-codes: 0 success, 1 domain error, failed selftest or out of memory, 2
-usage error, 3 internal error (a broken invariant: a bug, never bad
-input).  ``fixed`` prints ``absent`` (JSON ``"proven": true``) when no
-common fixed vertex exists, at any radius, with the certificate in the
-JSON: the first pair of words whose product is hyperbolic, and its
-translation length.  A common fixed vertex beyond the radius prints
-``none within radius R; --radius P finds one`` (``"proven": false``,
-``"least_radius": P``), P its distance from the first word's witness vertex.
+``(arguments, group) -> (payload, text)``.  After the ``--group`` check
+``_call`` reads the arguments (``_READ``) in the order the command declares
+them, so the first bad one is reported: each word (``word``, ``word1``,
+``word2``, ``center``, ``words``) into its normal form, ``root`` into a root
+of unity and each pair (``pair``, ``pair1``, ``pair2``) into two integers.
+Negative values are allowed: ``2,-3``; argparse reads an argument that
+starts with ``-`` as an option, so ``--group -2,3`` is joined into
+``--group=-2,3`` before parsing, and a positional argument such as ``-2,-3``
+or ``-1/3`` follows ``--`` (``bsrig iso -- -2,-3 2,3``).  ``_dispatch``
+writes both formats through one loop, in 64 KiB slices: ``--format json``
+one JSON document, the payload; text mode the text, or the payload where
+there is none; either ends in one newline.  Exit codes: 0 success, 1 domain
+error, failed selftest or out of memory, 2 usage error, 3 internal error (a
+broken invariant: a bug, never bad input).  ``fixed`` prints ``absent``
+(JSON ``"proven": true``, with the first pair of words whose product is
+hyperbolic and its translation length) when no common fixed vertex exists at
+any radius, and ``none within radius R; --radius P finds one``
+(``"least_radius": P``) for one farther than R from the first word's witness
+vertex.
 """
 
 from __future__ import annotations
@@ -79,41 +83,40 @@ def _scalar(key: str, value):
 
 
 # ---------------------------------------------------------------------------
-# handlers: (parsed arguments, group or None) -> (payload, text or None)
+# handlers: (arguments as _call read them, group or None) -> (payload, text or None)
 
 def _reduce(a, G):
-    nf = format_word(word_nf(a.word, G))
+    nf = format_word(a.word)
     return {"word": nf}, nf
 
 
 def _eq(a, G):
-    return _scalar("equal", word_nf(a.word1, G) == word_nf(a.word2, G))
+    return _scalar("equal", a.word1 == a.word2)
 
 
 def _blength(a, G):
-    return _scalar("b_length", word_nf(a.word, G).b_length)
+    return _scalar("b_length", a.word.b_length)
 
 
 def _profile(a, G):
-    return hecke.coset_profile(word_nf(a.word, G), G).as_json(), None
+    return hecke.coset_profile(a.word, G).as_json(), None
 
 
 def _qc(a, G):
-    return _scalar("qc", hecke.qc_member(word_nf(a.word, G), G))
+    return _scalar("qc", hecke.qc_member(a.word, G))
 
 
 def _classify(a, G):
-    kind = tree.classify(word_nf(a.word, G), G)
+    kind = tree.classify(a.word, G)
     if isinstance(kind, tree.Elliptic):
         return {"kind": "elliptic", "witness": format_word(kind.witness)}, None
     return {"kind": "hyperbolic", "translation_length": kind.translation_length}, None
 
 
 def _fixed(a, G):
-    gs = [word_nf(w, G) for w in a.words]
     if a.radius < 0:
         raise ValueError("radius bound must be nonnegative")
-    v, d = tree.least_fixed_vertex(gs, G)
+    v, d = tree.least_fixed_vertex(a.words, G)
     if v is None:  # d is the separating pair
         certificate = {"pair": list(d[:2]), "translation_length": d[2]}
         return {"vertex": None, "proven": True, "certificate": certificate}, "absent"
@@ -125,60 +128,51 @@ def _fixed(a, G):
 
 
 def _tree_ball(a, G):
-    dot = tree.export_ball(tree.vertex_of(word_nf(a.center, G), G), a.radius, G)
+    dot = tree.export_ball(tree.vertex_of(a.center, G), a.radius, G)
     return {"dot": dot}, dot
 
 
 def _coset(a, G):
-    D = hecke.double_coset(word_nf(a.word, G), G)
+    D = hecke.double_coset(a.word, G)
     return {"coset": str(D), **D.profile.as_json()}, None
 
 
 def _convolve(a, G):
-    x = hecke.HeckeElement.single(hecke.double_coset(word_nf(a.word1, G), G))
-    y = hecke.HeckeElement.single(hecke.double_coset(word_nf(a.word2, G), G))
+    x = hecke.HeckeElement.single(hecke.double_coset(a.word1, G))
+    y = hecke.HeckeElement.single(hecke.double_coset(a.word2, G))
     return hecke.hecke_convolve(x, y, G).as_json(), None
 
 
 def _fuse_selfinv(a, G):
-    return fusion.decompose_self_inverse(word_nf(a.word, G), G).as_json(), None
+    return fusion.decompose_self_inverse(a.word, G).as_json(), None
 
 
 def _exchange(a, G):
-    w = _parse_root(a.root)
-    partners = fusion.exchange_partners(w, word_nf(a.word, G), G)
+    partners = fusion.exchange_partners(a.root, a.word, G)
     partners = [str(u) for u in sorted(partners, key=fusion.angle_key(partners))]
     return partners, " ".join(partners)
 
 
 def _invariants(a, G):
-    payload = {
-        "n": G.n,
-        "m": G.m,
-        "k": G.k,
-        "n0": G.n0,
-        "m0": G.m0,
-        "standard_form": G.is_standard,
-        "amenable": rigidity.is_amenable(G.n, G.m),
-        "canonical": list(rigidity.canonicalize(G.n, G.m)),
-    }
+    payload = {key: getattr(G, key) for key in ("n", "m", "k", "n0", "m0")}
+    payload["standard_form"] = G.is_standard
+    payload["amenable"] = rigidity.is_amenable(G.n, G.m)
+    payload["canonical"] = list(rigidity.canonicalize(G.n, G.m))
     if G.is_standard:
         payload["index_values"] = sorted(hecke.f_set(a.depth, G))
     return payload, None
 
 
 def _iso(a, G):
-    same = rigidity.is_isomorphic(*_parse_pair(a.pair1), *_parse_pair(a.pair2))
-    return _scalar("isomorphic", same)
+    return _scalar("isomorphic", rigidity.is_isomorphic(*a.pair1, *a.pair2))
 
 
 def _obstruction(a, G):
-    verdict = rigidity.crossed_product_obstruction(*_parse_pair(a.pair1), *_parse_pair(a.pair2))
-    return verdict.as_json(), None
+    return rigidity.crossed_product_obstruction(*a.pair1, *a.pair2).as_json(), None
 
 
 def _witness(a, G):
-    return rigidity.sign_witness(*_parse_pair(a.pair)).as_json(), None
+    return rigidity.sign_witness(*a.pair).as_json(), None
 
 
 def _selftest(a, G):
@@ -212,6 +206,12 @@ RADIUS_HELP = (
     "largest distance of the vertex from the first word's witness vertex (default 8); "
     "absent is proven at any radius, by a pair of words with a hyperbolic product"
 )
+_READ = {
+    **dict.fromkeys(("word", "word1", "word2", "center"), word_nf),
+    "words": lambda texts, G: [word_nf(w, G) for w in texts],
+    "root": lambda text, G: _parse_root(text),
+    **dict.fromkeys(("pair", "pair1", "pair2"), lambda text, G: _parse_pair(text)),
+}
 
 COMMANDS = {
     "reduce": Command("normal form of a word", _reduce, WORD),
@@ -276,14 +276,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _call(args: argparse.Namespace) -> tuple[tuple, int]:
     """((payload, text), exit code) of the chosen subcommand."""
-    group = _parse_pair(args.group) if args.group else None
+    G = bs(*_parse_pair(args.group)) if args.group else None
     if args.command is None:
         raise _UsageError("missing subcommand")
     command = COMMANDS[args.command]
-    if command.needs_group and group is None:
+    if command.needs_group and G is None:
         raise _UsageError("this subcommand needs --group n,m")
+    for name in (arg for arg, _ in command.args if arg in _READ):
+        setattr(args, name, _READ[name](getattr(args, name), G))
     try:
-        return command.handler(args, bs(*group) if group else None), 0
+        return command.handler(args, G), 0
     except _Failed as exc:
         return exc.args, 1
 
@@ -354,17 +356,15 @@ def _dispatch(argv: list[str]) -> int:
     except MemoryError:
         sys.stderr.write("bsrig: the command ran out of memory\n")
         return 1
-    if args.format == "json" or text is None:
-        # chunk by chunk, a long chunk such as a ball's DOT text in slices:
-        # no whole second copy of the document is held, encoded or joined
-        for chunk in json.JSONEncoder(separators=(",", ":")).iterencode(payload):
-            for k in range(0, len(chunk), 1 << 16):
-                sys.stdout.write(chunk[k : k + (1 << 16)])
+    json_mode = args.format == "json" or text is None
+    chunks = json.JSONEncoder(separators=(",", ":")).iterencode(payload) if json_mode else [text]
+    # chunk by chunk, a long chunk such as a ball's DOT text in slices:
+    # no whole second copy of the document is held, encoded or joined
+    for chunk in chunks:
+        for k in range(0, len(chunk), 1 << 16):
+            sys.stdout.write(chunk[k : k + (1 << 16)])
+    if json_mode or not text.endswith("\n"):  # a DOT text ends in its own newline
         sys.stdout.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):  # a DOT text ends in its own newline
-            sys.stdout.write("\n")
     return code
 
 

@@ -1,8 +1,11 @@
 import argparse
+import ast
+import inspect
 import io
 import json
 import random
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -250,9 +253,38 @@ def test_json_is_written_in_slices(monkeypatch):
 
 
 def test_tree_ball_holds_its_dot_once():
-    a = argparse.Namespace(center="b", radius=2)
+    a = argparse.Namespace(center=word_nf("b", bs(2, 3)), radius=2)
     payload, text = cli._tree_ball(a, bs(2, 3))
     assert text is payload["dot"]
+
+
+def test_text_is_written_in_the_same_slices(monkeypatch):
+    sizes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(["--group", "2,3", "tree-ball", "e", "5"]) == 0
+    G = bs(2, 3)
+    dot = tree.export_ball(tree.vertex_of(word_nf("e", G), G), 5, G)
+    assert out.getvalue() == dot and dot.endswith("\n")  # no second newline
+    assert len(dot) > 1 << 16 and max(sizes) <= 1 << 16
+
+
+def test_no_handler_reads_its_own_arguments():
+    # _call reads every word, root and pair before the handler runs, so a
+    # handler gets values and never the text of an argument
+    readers = {"word_nf", "_parse_pair", "_parse_root"}
+    for name, command in cli.COMMANDS.items():
+        source = textwrap.dedent(inspect.getsource(command.handler))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert called not in readers, f"{name}: {called}"
 
 
 def test_invariants(capsys):
