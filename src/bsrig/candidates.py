@@ -5,42 +5,36 @@ and self-inverse fusion those of the conjugates P a^i P^-1, 0 < i < l(g).
 The walk builds these candidates left to right in residue classes of i
 that share a normal-form prefix, so that the crossings and the
 translate pass of ``hecke`` along a shared prefix are done once per class,
-not once per candidate.  Only ``hecke.hecke_convolve`` and
-``fusion.decompose_self_inverse`` import this module, when they run.
+not once per candidate.  Every cell carries the pass's state after its
+letter, so a leaf only checks its digits.  Only ``hecke.hecke_convolve``
+and ``fusion.decompose_self_inverse`` import this module, when they run.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .hecke import DoubleCoset, _coset, _translate
-from .words import BsPresentation, _carries
+from .hecke import _START, DoubleCoset, _coset, _translate
+from .words import BsPresentation
 
 __all__ = ["residue_walk"]
 
 
-# The empty prefix chain: no letters, no digits and the translate state
-# before any letter.
-_ROOT = ((), (), (0, 0, 1, 1), None)
+# The empty prefix chain: no letters, no digits and the start state.
+_ROOT = ((), (), _START, None)
 
 
 def _cell(top: tuple, s: int, e: int, G: BsPresentation) -> tuple:
     """The prefix chain ``top`` with the letter a^s b^e pushed: its letters,
     their translate digits, the translate state after them and ``top``."""
-    (digit,), *state = _translate(((s, e),), G, *top[2])
+    (digit,), state = _translate(((s, e),), G, top[2])
     return top[0] + ((s, e),), top[1] + (digit,), state, top
 
 
 def _leaf(top: tuple, G: BsPresentation) -> DoubleCoset:
-    """The double coset of the prefix chain ``top``.  The cells pushed for
-    a single candidate carry no digits or translate state: the pass
-    resumes over their letters from the last cell that has them."""
-    letters = top[0]
-    while top[2] is None:
-        top = top[3]
-    known = top[1]
-    digits, i, _, R, S = _translate(letters[len(known):], G, *top[2])
-    return _coset(letters, i, known + tuple(digits), R, S, G)
+    """The double coset of the prefix chain ``top``, from the digits and
+    translate state that its cells carry."""
+    return _coset(top[0], top[1], top[2], G)
 
 
 def residue_walk(left: tuple, start: int, count: int, right, G: BsPresentation):
@@ -64,7 +58,7 @@ def residue_walk(left: tuple, start: int, count: int, right, G: BsPresentation):
     top = _ROOT
     for s, e in left:
         top = _cell(top, s, e, G)
-    up, down = _carries(G)
+    up, down = G.carries
     crossings = [(s, e, *(up if e == 1 else down)) for s, e in right]
     todo = [(0, top, start, 1, count)]
     while todo:
@@ -80,10 +74,8 @@ def residue_walk(left: tuple, start: int, count: int, right, G: BsPresentation):
             if t == 0 and top[0] and top[0][-1][1] == -e:
                 # b^-e a^{c q} b^e = a^{d q}: pop the letter below
                 top, alpha = top[3], top[0][-1][0] + d * q
-            elif size > 1:
-                top, alpha = _cell(top, t, e, G), d * q
             else:
-                top, alpha = (top[0] + ((t, e),), None, None, top), d * q
+                top, alpha = _cell(top, t, e, G), d * q
         else:
             yield _leaf(top, G), size
             continue

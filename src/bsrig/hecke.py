@@ -35,7 +35,6 @@ from .words import (
     InternalError,
     NormalForm,
     Value,
-    _carries,
 )
 
 __all__ = [
@@ -59,13 +58,18 @@ class CosetProfile(Value):
         return {"l": self.l, "r": self.r, "L": self.L}
 
 
-def _translate(letters, G: BsPresentation, i: int = 0, x: int = 0, R: int = 1, S: int = 1):
+# The state (i, x, R, S) before any letter: each translate a^y pushes a^y.
+_START = (0, 0, 1, 1)
+
+
+def _translate(letters, G: BsPresentation, state: tuple = _START):
     """The translate pass of the module docstring over the (s, e) letters
     of a normal form's prefix, resumed from the state (i, x, R, S) after
     the letters before them: the digits (t, e) of the least tail-zeroed
     translate, and the state after the last letter.  Each letter pushes
     a^{x + S y} through b^e by the carries (c, d) of b^e."""
-    up, down = _carries(G)
+    i, x, R, S = state
+    up, down = G.carries
     digits = []
     for s, e in letters:
         c, d = up if e == 1 else down
@@ -80,7 +84,7 @@ def _translate(letters, G: BsPresentation, i: int = 0, x: int = 0, R: int = 1, S
         # x + S y - t is a multiple of c as a whole; x alone need not be
         x = (x + S * y - t) // c * d
         S = S // h * d
-    return digits, i, x, R, S
+    return digits, (i, x, R, S)
 
 
 def _profile(g: NormalForm, R: int, S: int, G: BsPresentation) -> CosetProfile:
@@ -100,7 +104,7 @@ def _conjugate_exponent(g: NormalForm, z: int, G: BsPresentation) -> int | None:
     of b^-e: a^{c q} b^-e = b^-e a^{d q}.  When c does not divide z the
     word is reduced with b-letters left, so by Britton's lemma g a^z g^-1
     is not in <a>."""
-    up, down = _carries(G)
+    up, down = G.carries
     for _, e in reversed(g.prefix):
         c, d = down if e == 1 else up
         q, t = divmod(z, c)
@@ -113,7 +117,7 @@ def _conjugate_exponent(g: NormalForm, z: int, G: BsPresentation) -> int | None:
 def coset_profile(g: NormalForm, G: BsPresentation) -> CosetProfile:
     """(l(g), r(g), L(g)) by the translate pass: the translates with the
     least prefix are a^{i + r(g) y}, and a^{r(g)} g = g a^{L(g)}."""
-    _, _, _, R, S = _translate(g.prefix, G)
+    _, (_, _, R, S) = _translate(g.prefix, G)
     return _profile(g, R, S, G)
 
 
@@ -176,20 +180,21 @@ class DoubleCoset(Value):
 def double_coset(g: NormalForm, G: BsPresentation) -> DoubleCoset:
     """<a> g <a>, its representative chosen digit by digit from the left by
     the translate pass, in O(b-length) arithmetic steps."""
-    digits, i, _, R, S = _translate(g.prefix, G)
-    return _coset(g.prefix, i, tuple(digits), R, S, G)
+    digits, state = _translate(g.prefix, G)
+    return _coset(g.prefix, tuple(digits), state, G)
 
 
-def _coset(letters: tuple, i: int, digits: tuple, R: int, S: int, G: BsPresentation) -> DoubleCoset:
+def _coset(letters: tuple, digits: tuple, state: tuple, G: BsPresentation) -> DoubleCoset:
     """The double coset of the prefix ``letters`` whose translate pass chose
-    ``digits`` at the translate a^i and ended with (R, S)."""
+    ``digits`` and ended in the state (i, x, R, S), at the translate a^i."""
+    i, _, R, S = state
     rep = NormalForm(digits, 0)
     profile = _profile(rep, R, S, G)
     # postcondition: the translate a^i g has the chosen prefix.  a^i only
     # carries through the b-letters of g, as in words._push when
     # nothing pinches: the carry out of b^e is a multiple of the c that
     # would pinch b^-e
-    up, down = _carries(G)
+    up, down = G.carries
     tail = i
     for (s, e), (t, _) in zip(letters, digits):
         c, d = up if e == 1 else down

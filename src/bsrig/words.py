@@ -21,10 +21,11 @@ each crossing multiplies a-powers by m/n or n/m and fixed-width integers
 would overflow silently.
 
 One crossing loop, ``_push``, appends a run of letters a^s b^e to a
-normal form with the crossing table ``_carries``.  By the relation
-a^{c q} b^e = b^e a^{d q}, a^{C Q} crosses a whole run as a^{A Q}, C and A
-the products of the run's c and d, so a product divides a wide tail by C
-once instead of by each c in turn.  ``normalize`` hands each single
+normal form with the crossing table ``G.carries``, which ``bs`` computes
+once per presentation.  By the relation a^{c q} b^e = b^e a^{d q},
+a^{C Q} crosses a whole run as a^{A Q}, C and A the products of the
+run's c and d, so a product divides a wide tail by C once instead of by
+each c in turn.  ``normalize`` hands each single
 b-letter to ``_push`` as it is and spells out only a true run b^k.
 ``parse_word`` makes one pass to take the terms and one to tokenize and
 merge; where the terms stop is where a bad text fails.
@@ -142,10 +143,14 @@ class Value:
 class BsPresentation(Value):
     """Parameters of BS(n, m) together with the derived quantities
 
-    k = gcd(|n|, |m|), n = k*n0, m = k*m0 (so gcd(n0, |m0|) = 1).
+    k = gcd(|n|, |m|), n = k*n0, m = k*m0 (so gcd(n0, |m0|) = 1), and the
+    crossing table carries = ((c, d) of b, (c, d) of b^-1): a^t b^e =
+    a^{t mod c} b^e a^{d (t div c)}, with (c, d) = +-(m, n) for b and
+    +-(n, m) for b^-1, signed so that c > 0; negating c and d together
+    leaves d (t div c) as it is.
     """
 
-    __slots__ = ("n", "m", "k", "n0", "m0")
+    __slots__ = ("n", "m", "k", "n0", "m0", "carries")
 
     @property
     def is_standard(self) -> bool:
@@ -167,7 +172,9 @@ def bs(n: int, m: int) -> BsPresentation:
     if n == 0 or m == 0:
         raise ValueError("BS(n, m) needs nonzero n and m")
     k = gcd(abs(n), abs(m))
-    return BsPresentation(n, m, k, n // k, m // k)
+    up = (m, n) if m > 0 else (-m, -n)
+    down = (n, m) if n > 0 else (-n, -m)
+    return BsPresentation(n, m, k, n // k, m // k, (up, down))
 
 
 class GroupWord(Value):
@@ -308,13 +315,6 @@ def inverse_word(w: GroupWord) -> GroupWord:
 # ---------------------------------------------------------------------------
 # normalization
 
-def _carries(G: BsPresentation) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(c, d) with c > 0 for b and for b^-1: a^t b^e = a^{t mod c} b^e
-    a^{d (t div c)}; negating c and d together leaves d (t div c) as it is."""
-    n, m = G.n, G.m
-    return (m, n) if m > 0 else (-m, -n), (n, m) if n > 0 else (-n, -m)
-
-
 def _push(prefix, t: int, letters, tail: int, G: BsPresentation) -> NormalForm:
     """prefix a^t a^{s_1} b^{e_1} ... a^{s_k} b^{e_k} a^{tail} in normal
     form, given a normal-form prefix and the (s, e) letters.  Crossing b^e
@@ -329,7 +329,7 @@ def _push(prefix, t: int, letters, tail: int, G: BsPresentation) -> NormalForm:
     against k T / w for k full-width divisions; |C| is about k log2 c, so
     the split saves a factor of about w / log2 c.  t splits when it is
     wider than a word and than C can be."""
-    up, down = _carries(G)
+    up, down = G.carries
     prefix = list(prefix)
     if t.bit_length() > 64 and t.bit_length() > len(letters) * max(up[0], down[0]).bit_length():
         ups = (len(letters) + sum(e for _, e in letters)) // 2
@@ -410,7 +410,7 @@ def _cyclic_span(g: NormalForm, G: BsPresentation) -> tuple[int, int, int]:
     """(i, j, tail) with core = NormalForm(g.prefix[i:j], tail), as
     cyclically_reduce describes; j - i is the core's b-length."""
     prefix, tail = g.prefix, g.tail
-    up, down = _carries(G)
+    up, down = G.carries
     i, j = 0, len(prefix)
     while i < j:
         s, e = prefix[i]

@@ -1,6 +1,6 @@
 """Acceptance suite: the check table of ``bsrig.selftest`` at full scale, one
-test per criterion, each printing a PASS line with its measured runtime and
-asserting the criterion's budget.
+test per row of ``CHECKS``, each printing a PASS line with its measured
+runtime and asserting the criterion's budget.
 
 Run with  pytest tests/test_acceptance.py -v -s  to see the report lines.
 """
@@ -12,11 +12,24 @@ import pytest
 
 from bsrig.selftest import CHECKS, FULL, title
 
+# The name each row's test has run under, as test_criterion_<k>_<name>; a
+# row not named here runs under its check's own name.
+_NAMES = {
+    "_word_problem": "word_problem_soundness",
+    "_profiles": "hecke_profiles",
+    "_index_values": "index_value_coverage",
+    "_self_inverse_fusion": "self_inverse_fusion_bookkeeping",
+    "_exchange": "exchange_partners_brute_force",
+    "_obstruction": "rigidity_matrix",
+    "_isomorphism": "isomorphism_criterion",
+    "_tree": "tree_actions",
+    "_quasi_centralizer": "quasi_centralizer_index_two",
+}
 
-def _accept(number: int) -> None:
+
+def _accept(number: int, check) -> None:
     if not __debug__:
         pytest.fail("the checks are assert statements, which python -O removes; run without -O")
-    check = CHECKS[number - 1]
     sizes = FULL[check]
     name = title(check, sizes)
     rng = random.Random(sizes.seed)
@@ -31,37 +44,16 @@ def _accept(number: int) -> None:
     assert elapsed < sizes.budget, f"criterion {number} beyond {sizes.budget}s budget"
 
 
-def test_criterion_1_word_problem_soundness():
-    _accept(1)
+def _criterion(number: int, check):
+    def test():
+        _accept(number, check)
+
+    label = _NAMES.get(check.__name__, check.__name__.strip("_"))
+    test.__name__ = test.__qualname__ = f"test_criterion_{number}_{label}"
+    return test
 
 
-def test_criterion_2_hecke_profiles():
-    _accept(2)
-
-
-def test_criterion_3_index_value_coverage():
-    _accept(3)
-
-
-def test_criterion_4_self_inverse_fusion_bookkeeping():
-    _accept(4)
-
-
-def test_criterion_5_exchange_partners_brute_force():
-    _accept(5)
-
-
-def test_criterion_6_rigidity_matrix():
-    _accept(6)
-
-
-def test_criterion_7_isomorphism_criterion():
-    _accept(7)
-
-
-def test_criterion_8_tree_actions():
-    _accept(8)
-
-
-def test_criterion_9_quasi_centralizer_index_two():
-    _accept(9)
+for _number, _check in enumerate(CHECKS, 1):
+    _test = _criterion(_number, _check)
+    globals()[_test.__name__] = _test
+del _number, _check, _test

@@ -120,13 +120,13 @@ def test_profile_and_double_coset_work_is_the_prefix_check(monkeypatch):
     translate = hecke._translate
 
     def off_by_one(letters, G):
-        digits, i, x, R, S = translate(letters, G)
-        return digits, i + 1, x, R, S
+        digits, (i, x, R, S) = translate(letters, G)
+        return digits, (i + 1, x, R, S)
 
     def bumped(letters, G):
-        digits, i, x, R, S = translate(letters, G)
+        digits, state = translate(letters, G)
         (t, e), *rest = digits
-        return [(t + 1, e), *rest], i, x, R, S
+        return [(t + 1, e), *rest], state
 
     for G in (G23, bs(2, -3), bs(3, 4)):
         for text in ("a^5", "b", "B", "b^2 a B a^-1 b^3"):
@@ -503,6 +503,34 @@ def test_convolution_work_follows_gcd(monkeypatch):
     assert calls == 1 and prod.as_json() == [{"coset": "b^16", "coeff": 1}]
     prod, calls = convolve_counting("b^4", "B^4")
     assert calls == 16 and dict(prod.terms)[double_coset(IDENTITY, G23)] == 3**4
+
+
+def test_each_translate_step_of_the_walk_covers_one_letter(monkeypatch):
+    # every cell of the walk carries its translate state, so the pass
+    # advances one letter per cell and a leaf resumes over none; d d^-1
+    # for d = b a b a B B has single-candidate classes three letters deep
+    translate = candidates._translate
+    steps = []
+
+    def counting(letters, G, *state):
+        steps.append(len(letters))
+        return translate(letters, G, *state)
+
+    rng = random.Random(5)
+    for G in (G23, bs(2, -3), bs(3, 4)):
+        elements = [word_nf(text, G) for text in ("b a b a B B", "b^3", "b a B", "a b^2 a^-1 B")]
+        elements += [random_nf(rng, G, max_b=3, max_exp=9) for _ in range(6)]
+        for g in elements:
+            D, Dinv = double_coset(g, G), double_coset(invert(g, G), G)
+            with monkeypatch.context() as patch:
+                patch.setattr(candidates, "_translate", counting)
+                hecke_convolve(HeckeElement.single(D), HeckeElement.single(Dinv), G)
+                hecke_convolve(HeckeElement.single(Dinv), HeckeElement.single(D), G)
+                try:
+                    decompose_self_inverse(g, G)
+                except ValueError:  # conjugates in one double coset
+                    pass
+    assert steps and set(steps) == {1}, sorted(set(steps))
 
 
 def test_a_fractional_coefficient_is_a_bug(monkeypatch):

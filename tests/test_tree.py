@@ -181,6 +181,15 @@ def test_common_fixed_vertex_needs_an_element():
         common_fixed_vertex([], G23, 1)
 
 
+def test_common_fixed_vertex_refuses_a_negative_radius():
+    # the CLI checks --radius itself, so only a library call gets here
+    with pytest.raises(ValueError, match="radius bound must be nonnegative"):
+        common_fixed_vertex([word_nf("a", G23)], G23, -1)
+    # with no element, the missing element is the error at any bound
+    with pytest.raises(ValueError, match="at least one element"):
+        common_fixed_vertex([], G23, -1)
+
+
 def test_common_fixed_vertex_instance_with_hyperbolic_product():
     g = word_nf("a^2", G23)
     h = word_nf("b a^3 b^-1", G23)

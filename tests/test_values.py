@@ -42,7 +42,7 @@ W, MU = RootOfUnity(1, 12), RootOfUnity(1, 18)
 # one value of each class with its dataclass-format repr; Irreducible and
 # RigidityVerdict are built from their keyword defaults
 VALUES = [
-    (bs(2, -3), "BsPresentation(n=2, m=-3, k=1, n0=2, m0=-3)"),
+    (bs(2, -3), "BsPresentation(n=2, m=-3, k=1, n0=2, m0=-3, carries=((3, -2), (2, -3)))"),
     (parse_word("b a^2 B"), "GroupWord(syllables=(('b', 1), ('a', 2), ('b', -1)))"),
     (NormalForm(((0, 1), (1, -1)), 2), "NormalForm(prefix=((0, 1), (1, -1)), tail=2)"),
     (CosetProfile(4, 9, 4), "CosetProfile(l=4, r=9, L=4)"),

@@ -43,6 +43,18 @@ def test_presentation_derived_fields():
     assert not bs(3, 2).is_standard
     with pytest.raises(ValueError):
         bs(0, 3)
+    # the crossing table against the relation: a^t b^e = a^{t0} b^e a^{d q}
+    # for t = c q + t0, checked as a free word by the oracle's pinch
+    # elimination, which shares no code with the crossing loop
+    rng = random.Random(5)
+    params = [sign * v for v in range(1, 7) for sign in (1, -1)]
+    for G in (bs(n, m) for n in params for m in params):
+        for e, (c, d) in zip((1, -1), G.carries):
+            assert c > 0, G
+            for t in range(-3 * c, 3 * c + 1):
+                q, t0 = divmod(t, c)
+                w = GroupWord.of((("a", t), ("b", e), ("a", -d * q), ("b", -e), ("a", -t0)))
+                assert oracle_is_identity(w, G, rng), (G, e, t)
 
 
 class _Single(Value):
